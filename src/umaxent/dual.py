@@ -10,16 +10,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTarget
-from .model import (
-    FeatureTable,
-    Weights,
-    feature_expectation,
-    log_linear_distribution,
-    log_partition,
-)
+from .model import Weights, feature_expectation, log_linear_distribution, log_partition
 
 # Feasibility slack for the per-coordinate bounds check.
 _FEASIBILITY_EPS = 1e-9
+
+# Armijo line search: a step is accepted once the dual falls by this share
+# of its predicted decrease, and halved otherwise, down to _MIN_STEP.
+_SUFFICIENT_DECREASE = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-18
+# Rounding error of a computed dual value relative to the size of its terms:
+# a few units in the last place each for the log-sum-exp and the inner product.
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,23 +46,13 @@ class TargetExpectations:
 class SolverConfig:
     grad_tol: float = 1e-8
     max_iter: int = 10_000
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
     divergence_guard: float = 1e3
-    # "lbfgs" preconditions the descent direction with a limited-memory
-    # quasi-Newton update; "gd" is plain steepest descent. Both use the
-    # same backtracking line search.
-    method: str = "lbfgs"
-    lbfgs_memory: int = 10
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.method not in ("lbfgs", "gd"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -99,26 +92,51 @@ def _check_feasible(target, features):
             raise InfeasibleTarget(k, v, lo[k], hi[k])
 
 
-def _lbfgs_direction(grad, s_hist, y_hist):
-    """Two-loop recursion; returns a descent direction for the dual."""
-    q = grad.copy()
-    alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / (y @ s)
-        a = rho * (s @ q)
-        alphas.append((a, rho))
-        q -= a * y
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        q *= (s @ y) / (y @ y)
-    for (a, rho), s, y in zip(reversed(alphas), s_hist, y_hist):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q
+def _gradient_and_hessian(lam, target, features):
+    """Dual gradient E[phi] - phi_hat and Hessian Cov(phi), from one model evaluation."""
+    p = log_linear_distribution(Weights(lam), features).probs
+    mu = features.values @ p
+    centered = features.values - mu[:, None]
+    return mu - target.phi_hat, (centered * p) @ centered.T
+
+
+def _step(lam, f, grad, direction, noise, target, features):
+    """(lambda, f, gradient, Hessian) after a step along direction, or None.
+
+    Armijo backtracking accepts a step that lowers the dual enough. When
+    the predicted decrease -grad.direction is within the rounding noise of
+    f, f cannot tell a decrease, so the full step is taken only if it
+    shrinks the gradient sup-norm.
+    """
+    slope = grad @ direction
+    if -slope <= noise:
+        trial = lam + direction
+        grad_trial, hess_trial = _gradient_and_hessian(trial, target, features)
+        if np.abs(grad_trial).max() >= np.abs(grad).max():
+            return None
+        return trial, dual_value(Weights(trial), target, features), grad_trial, hess_trial
+    step = 1.0
+    while step >= _MIN_STEP:
+        trial = lam + step * direction
+        f_trial = dual_value(Weights(trial), target, features)
+        if f_trial <= f + _SUFFICIENT_DECREASE * step * slope:
+            return (trial, f_trial, *_gradient_and_hessian(trial, target, features))
+        step *= _BACKTRACK
+    return None
 
 
 def minimize_dual(target, features, init=None, config=None):
-    """Minimize the dual with backtracking line search.
+    """Minimize the dual by damped Newton steps.
+
+    The Hessian is Cov_lambda(phi). Each step is the minimum-norm
+    least-squares solution of Cov_lambda(phi) d = -gradient, so weights
+    along constant or collinear feature directions keep their initial
+    values, and Armijo backtracking damps it (see _step for steps below
+    the rounding of the dual value). Where the Newton step finds no
+    descent, a steepest-descent step is tried instead: far from the
+    solution the model can be nearly a point mass, and the Hessian then
+    loses numerical rank along directions where the gradient is large.
+    If neither step moves, the solve stops unconverged.
 
     Converged means the gradient sup-norm (equivalently the constraint
     residual) dropped below config.grad_tol. Boundary or exterior targets
@@ -131,9 +149,9 @@ def minimize_dual(target, features, init=None, config=None):
 
     lam = np.zeros(features.n_features) if init is None else np.array(init.lam, dtype=float)
     f = dual_value(Weights(lam), target, features)
-    best_lam, best_f = lam.copy(), f
-    grad = dual_gradient(Weights(lam), target, features)
-    s_hist, y_hist = [], []
+    best_lam, best_f = lam, f
+    grad, hess = _gradient_and_hessian(lam, target, features)
+    size = np.abs(target.phi_hat)
 
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
@@ -151,42 +169,20 @@ def minimize_dual(target, features, init=None, config=None):
                 message=f"some |lambda_k| exceeded the divergence guard {config.divergence_guard}",
             )
 
-        direction = -grad
-        if config.method == "lbfgs" and s_hist:
-            d = _lbfgs_direction(grad, s_hist, y_hist)
-            if d @ grad < 0:
-                direction = d
-
-        # Backtrack until the Armijo sufficient-decrease condition holds.
-        slope = grad @ direction
-        step = config.initial_step
-        stalled = False
-        while True:
-            trial = lam + step * direction
-            f_trial = dual_value(Weights(trial), target, features)
-            if f_trial <= f + config.sufficient_decrease * step * slope:
-                break
-            step *= config.backtrack_factor
-            if step < 1e-18:
-                stalled = True
-                break
-        if stalled:
-            # No descent at machine precision; report the best iterate.
+        # f is log Z - lambda.phi_hat; its rounding error scales with both terms.
+        noise = _ROUNDING * (abs(f) + np.abs(lam) @ size)
+        newton = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        moved = (_step(lam, f, grad, newton, noise, target, features)
+                 or _step(lam, f, grad, -grad, noise, target, features))
+        if moved is None:
             return SolverResult(
                 Weights(best_lam), best_f, gnorm, iterations, False,
-                message="line search stalled",
+                message="no Newton or steepest-descent step lowers the dual value "
+                        "or, below its rounding, the gradient",
             )
-        grad_new = dual_gradient(Weights(trial), target, features)
-        s, y = trial - lam, grad_new - grad
-        if s @ y > 1e-14:
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > config.lbfgs_memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        lam, f, grad = trial, f_trial, grad_new
-        if f < best_f:
-            best_lam, best_f = lam.copy(), f
+        lam, f, grad, hess = moved
+        if f <= best_f + noise:
+            best_lam, best_f = lam, f
 
     gnorm = np.abs(grad).max()
     if gnorm <= config.grad_tol:

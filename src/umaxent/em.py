@@ -165,14 +165,22 @@ def e_step(problem, current, zero_marginal="error", model=None):
     return TargetExpectations(problem.features.values @ mix)
 
 
-def log_likelihood(problem, weights):
-    """L(lambda) = sum_omega Pr~(omega) log Pr_lambda(omega); -inf if unsupported."""
+def log_likelihood(problem, weights, zero_marginal="error"):
+    """L(lambda) = sum_omega Pr~(omega) log Pr_lambda(omega).
+
+    An observation with empirical mass but zero model marginal makes L
+    -inf; under policy "skip" it is dropped instead and the remaining
+    empirical mass renormalized, as in likelihood_decomposition.
+    """
     model = log_linear_distribution(weights, problem.features)
     marg = problem.channel.matrix @ model.probs
     tilde = problem.empirical.probs
     active = tilde > 0
     if np.any(active & (marg <= 0)):
-        return -np.inf
+        if zero_marginal != "skip":
+            return -np.inf
+        active &= marg > 0
+        tilde = tilde / tilde[active].sum()
     return float(tilde[active] @ np.log(marg[active]))
 
 
@@ -251,7 +259,8 @@ def em_solve(problem, config=None, e_step_fn=None):
                  model=config.prior if config.init_mode == "prior" else None)
     u0, q0, h0 = likelihood_decomposition(problem, lam, lam, config.zero_marginal)
     trace.rows.append(EmIteration(
-        0, np.array(lam.lam), np.array(phi0.phi_hat), log_likelihood(problem, lam),
+        0, np.array(lam.lam), np.array(phi0.phi_hat),
+        log_likelihood(problem, lam, config.zero_marginal),
         q0, h0, u0, residual_at(lam), 0,
     ))
 
@@ -260,7 +269,7 @@ def em_solve(problem, config=None, e_step_fn=None):
     for t in range(1, config.max_em_iter + 1):
         result = minimize_dual(phi_hat, problem.features, init=lam, config=config.inner)
         lam_new = result.weights
-        loglik = log_likelihood(problem, lam_new)
+        loglik = log_likelihood(problem, lam_new, config.zero_marginal)
         u, q, h = likelihood_decomposition(problem, lam_new, lam, config.zero_marginal)
         residual = residual_at(lam_new)
         trace.rows.append(EmIteration(

@@ -6,6 +6,7 @@ a single seed.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,47 +72,64 @@ def problem_to_dict(problem, latent=None, classifier=None, solver=None, em=None,
     return doc
 
 
+@contextmanager
+def _block(name):
+    """Re-raise a malformed block's conversion errors as one-line ValidationErrors."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"problem file missing section {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {name}: {' '.join(str(exc).split())}") from exc
+
+
 def load_problem(doc):
     """Build a LoadedProblem from a parsed JSON document, re-validating everything."""
     if isinstance(doc, str):
         with open(doc) as fh:
             doc = json.load(fh)
-    try:
+    with _block("elements"):
         space = ElementSpace(doc["elements"])
+    with _block("features"):
         features = FeatureTable(doc["features"]["values"], doc["features"].get("names"))
+    with _block("channel"):
         channel = ObservationChannel(
             doc["channel"]["matrix"], doc["channel"].get("observations")
         )
+    with _block("empirical"):
         emp = doc["empirical"]
         if "counts" in emp:
             empirical = EmpiricalObservations(counts=emp["counts"])
         else:
             empirical = EmpiricalObservations(Distribution(emp["exact"]))
-        problem = UMaxEntProblem(space, features, channel, empirical)
-    except KeyError as exc:
-        raise ValidationError(f"problem file missing section {exc}") from exc
+    problem = UMaxEntProblem(space, features, channel, empirical)
 
-    solver_config = SolverConfig(**doc.get("solver", {}))
-    em_overrides = dict(doc.get("em", {}))
-    em_config = EmConfig(inner=solver_config, **em_overrides)
+    with _block("solver"):
+        solver_config = SolverConfig(**doc.get("solver", {}))
+    with _block("em"):
+        em_config = EmConfig(inner=solver_config, **doc.get("em", {}))
 
     factorization = None
     if "latent" in doc:
-        lat = doc["latent"]
-        embed = {(int(y), int(z)): int(x) for y, z, x in lat["embed"]}
-        factorization = LatentFactorization(lat["y"], lat["z"], embed, space.size)
+        with _block("latent"):
+            lat = doc["latent"]
+            embed = {(int(y), int(z)): int(x) for y, z, x in lat["embed"]}
+            factorization = LatentFactorization(lat["y"], lat["z"], embed, space.size)
 
     label_map = profile = training_prior = None
     batch_csv = None
     if "classifier" in doc:
-        cls = doc["classifier"]
-        label_map = LabelMap.from_assignment(cls["label_map"], len(cls["labels"]))
-        if "confusion" in cls:
-            profile = ClassifierProfile(cls["confusion"])
-        if "training_prior" in cls:
-            training_prior = Distribution(cls["training_prior"])
-        batch_csv = cls.get("batch_csv")
+        with _block("classifier"):
+            cls = doc["classifier"]
+            label_map = LabelMap.from_assignment(cls["label_map"], len(cls["labels"]))
+            if "confusion" in cls:
+                profile = ClassifierProfile(cls["confusion"])
+            if "training_prior" in cls:
+                training_prior = Distribution(cls["training_prior"])
+            batch_csv = cls.get("batch_csv")
 
+    with _block("seed"):
+        seed = int(doc.get("seed", 0))
     return LoadedProblem(
         problem=problem,
         solver_config=solver_config,
@@ -121,7 +139,7 @@ def load_problem(doc):
         profile=profile,
         training_prior=training_prior,
         batch_csv=batch_csv,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
     )
 
 

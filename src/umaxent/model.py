@@ -100,9 +100,8 @@ class Distribution:
     """
 
     probs: np.ndarray
-    tolerance: float = 1e-12
 
-    def __init__(self, probs, tolerance=1e-12):
+    def __init__(self, probs):
         probs = _as_float_array(probs, "probabilities", 1)
         if np.any(probs < 0):
             raise ValidationError("probabilities must be nonnegative")
@@ -112,7 +111,6 @@ class Distribution:
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tolerance", tolerance)
 
     def __len__(self):
         return len(self.probs)

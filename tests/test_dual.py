@@ -171,17 +171,50 @@ def test_minimize_dual_boundary_target_hits_guard():
     assert res.diverged
 
 
-def test_minimize_dual_gd_method_agrees():
-    rng = np.random.default_rng(9)
-    values = rng.uniform(-1, 1, size=(2, 4))
-    feat = FeatureTable(values)
-    phi_hat = TargetExpectations(values @ rng.dirichlet(np.ones(4)))
-    a = minimize_dual(phi_hat, feat, config=SolverConfig(method="lbfgs"))
-    b = minimize_dual(phi_hat, feat, config=SolverConfig(method="gd", grad_tol=1e-7))
-    assert a.converged and b.converged
-    da = log_linear_distribution(a.weights, feat).probs
-    db = log_linear_distribution(b.weights, feat).probs
-    assert np.max(np.abs(da - db)) <= 1e-6
+def test_minimize_dual_tight_tolerance():
+    # grad_tol far below what the Armijo test on f ~ 1 can resolve
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        values = rng.uniform(-2, 2, size=(3, 6))
+        phi_hat = values @ rng.dirichlet(np.ones(6))
+        res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
+                            config=SolverConfig(grad_tol=1e-12, max_iter=200))
+        assert res.converged, res.message
+        assert res.grad_norm <= 1e-12
+
+
+def test_minimize_dual_unreachable_tolerance_reports_rounding():
+    rng = np.random.default_rng(14)
+    values = rng.uniform(-2, 2, size=(3, 6))
+    phi_hat = values @ rng.dirichlet(np.ones(6))
+    res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
+                        config=SolverConfig(grad_tol=1e-300))
+    assert not res.converged and not res.diverged
+    assert res.iterations < 20
+    assert "rounding" in res.message
+    assert res.grad_norm <= 1e-14
+
+
+def test_minimize_dual_constant_feature_keeps_initial_weight():
+    rng = np.random.default_rng(13)
+    values = np.vstack([np.full(5, 3.0), rng.uniform(-2, 2, size=(2, 5))])
+    phi_hat = values @ rng.dirichlet(np.ones(5))
+    res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
+                        init=Weights([0.7, 0.0, 0.0]), config=SolverConfig(grad_tol=1e-12))
+    assert res.converged
+    assert res.weights.lam[0] == 0.7
+
+
+def test_minimize_dual_far_start_converges():
+    # from this start the model is nearly a point mass and its Hessian has
+    # numerical rank 1; Newton steps alone stop with the gradient at ~67
+    rng = np.random.default_rng(15)
+    values = rng.uniform(-100, 100, size=(4, 12))
+    phi_hat = values @ rng.dirichlet(np.ones(12))
+    res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
+                        init=Weights(rng.uniform(-2, 2, size=4)))
+    assert res.converged, res.message
+    assert res.iterations <= 100
 
 
 def test_maxent_optimality_over_random_feasible():

@@ -131,6 +131,20 @@ def test_e_step_zero_marginal_policies():
     assert np.all(np.isfinite(out.phi_hat))
 
 
+def test_em_zero_marginal_skip_audit():
+    # same fixture: under "skip" the likelihood drops observation 2 and
+    # renormalizes, like the decomposition, so the audit stays finite
+    channel = np.array([[1.0, 0.5], [0.0, 0.5], [0.0, 0.0]])
+    problem = make_problem([[1.0, 0.0]], channel, [0.5, 0.25, 0.25])
+    assert log_likelihood(problem, Weights([0.0])) == -np.inf
+    _, trace = em_solve(problem, EmConfig(zero_marginal="skip"))
+    logliks = trace.logliks()
+    assert np.all(np.isfinite(logliks))
+    assert np.all(np.diff(logliks) >= -1e-12)
+    for row in trace.rows:
+        assert row.u_star + row.q + row.h <= row.loglik + 1e-12
+
+
 def test_log_likelihood_identity_channel_is_negative_entropy():
     tilde = np.array([2 / 3, 1 / 3])
     problem = make_problem([[1.0, 0.0]], np.eye(2), tilde)

@@ -130,6 +130,30 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     assert "column 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(solver={"step_size": 0.1}),
+    lambda d: d.update(em={"lambda_tolerance": 1e-6}),
+    lambda d: d.update(solver={"method": "newton"}),
+    lambda d: d.update(solver={"grad_tol": -1.0}),
+    lambda d: d["features"]["values"][0].__setitem__(0, "x"),
+    lambda d: d["channel"]["matrix"][0].pop(),
+    lambda d: d.update(elements=[[i] for i in range(len(d["elements"]))]),
+], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
+        "string-feature", "ragged-channel", "list-element-ids"])
+def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
+    problem, _ = write_problem(tmp_path, seed=12)
+    doc = json.loads(problem.read_text())
+    edit(doc)
+    problem.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        load_problem(doc)
+    code = main(["solve", str(problem), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_solve_missing_file_exit_code(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
