@@ -5,6 +5,7 @@ Subcommands: generate, solve, check, reduce, trace-plot. Exit codes:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 
 from .classifier import SoftClassifierBatch, classifier_em_solve
 from .em import EmConfig, em_solve, log_likelihood
-from .errors import UMaxEntError
+from .errors import UMaxEntError, ValidationError
 from .harness import SyntheticSpec, dump_json, generate, load_problem
 from .model import Distribution, feature_expectation, log_linear_distribution
 from .reductions import (
@@ -30,16 +31,15 @@ EXIT_MAX_ITER = 2
 
 
 def _em_config(loaded, args):
-    cfg = loaded.em_config
-    if args.tol is not None:
-        cfg.lambda_tol = args.tol
-    if args.max_iter is not None:
-        cfg.max_em_iter = args.max_iter
-    if args.init is not None:
-        cfg.init_mode = args.init
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    """The file's EM settings with the command-line overrides, re-validated."""
+    overrides = {"lambda_tol": args.tol, "max_em_iter": args.max_iter,
+                 "init_mode": args.init, "seed": args.seed}
+    try:
+        loaded.em_config = dataclasses.replace(
+            loaded.em_config, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+    return loaded.em_config
 
 
 def _write_result(out_dir, stem, lam, features, residual, loglik, converged,

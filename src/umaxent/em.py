@@ -4,12 +4,17 @@ The E-step turns empirical observation frequencies into corrected target
 feature expectations under the current model; the M-step hands those
 targets to the convex dual minimizer. The likelihood decomposition
 (U* + Q + H) is tracked per iteration as a monotonicity audit.
+
+The loop evaluates the model once per lambda (evaluate): the E-step
+targets, the log-likelihood, the audit terms and the residual all come
+from matrix-vector products with the channel C and with C log C.
 """
 
 import csv
 import io
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,9 +26,8 @@ from .model import (
     FeatureTable,
     ObservationChannel,
     Weights,
-    feature_expectation,
-    log_linear_distribution,
     log_partition,
+    scores,
 )
 
 logger = logging.getLogger(__name__)
@@ -120,30 +124,106 @@ class EmTrace:
         return buf.getvalue()
 
 
-def _posteriors(problem, model, zero_marginal="error"):
-    """Posterior matrix P[omega, X] plus the active-observation mask.
+def _channel_xlogx(channel):
+    """C * log C elementwise with 0 log 0 = 0: the one |Omega| x |X| array the audit needs."""
+    c = channel.matrix
+    out = np.zeros_like(c)
+    np.log(c, out=out, where=c > 0)
+    out *= c
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """Everything EM reads from the model at one lambda.
+
+    With m = C p and r = w / m (w the renormalized empirical mass on the
+    active observations): mix = p * C^T r is the posterior-averaged
+    distribution over X, phi_hat = F mix, L = w . log m,
+    U* = p . ((C log C)^T r) and H = -U* - mix . log p + L. None of these
+    needs the |Omega| x |X| posterior matrix. u_star and h are None when
+    the evaluation was made without C log C.
+    """
+
+    p: np.ndarray
+    log_p: np.ndarray
+    log_z: float
+    marginal: np.ndarray
+    active: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    mix: np.ndarray
+    phi_hat: np.ndarray
+    phi_model: np.ndarray
+    loglik: float
+    u_star: float
+    h: float
+    residual: float
+
+
+def _reweight(problem, p, zero_marginal):
+    """(m, active, w, r, mix) for a model distribution p over X.
 
     Observations with empirical mass but zero model marginal either raise
-    or (policy "skip") are dropped from the mask with a warning.
+    or (policy "skip") are dropped from the active mask with a warning.
     """
-    marg = problem.channel.matrix @ model.probs
+    channel = problem.channel.matrix
+    marg = channel @ p
     tilde = problem.empirical.probs
     active = tilde > 0
     dead = active & (marg <= 0)
     if np.any(dead):
-        idx = int(np.flatnonzero(dead)[0])
-        if zero_marginal == "skip":
-            logger.warning(
-                "dropping %d observation(s) with empirical mass but zero model marginal",
-                int(dead.sum()),
-            )
-            active &= marg > 0
-        else:
-            raise ZeroMarginal(idx)
-    post = np.zeros_like(problem.channel.matrix)
-    ok = marg > 0
-    post[ok] = problem.channel.matrix[ok] * model.probs / marg[ok, None]
-    return post, active
+        if zero_marginal != "skip":
+            raise ZeroMarginal(int(np.flatnonzero(dead)[0]))
+        logger.warning(
+            "dropping %d observation(s) with empirical mass but zero model marginal",
+            int(dead.sum()),
+        )
+        active &= marg > 0
+    w = tilde * active
+    total = w.sum()
+    if total <= 0:
+        raise ValidationError("no observations remain after dropping zero-marginal ones")
+    w = w / total
+    r = np.divide(w, marg, out=np.zeros_like(w), where=active)
+    mix = p * (channel.T @ r)
+    return marg, active, w, r, mix
+
+
+def evaluate(problem, weights, zero_marginal="error", clogc=None):
+    """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual.
+
+    clogc is _channel_xlogx(problem.channel); without it u_star and h are None.
+    log p is taken from the scores, so elements whose probability underflows
+    keep a finite log.
+    """
+    s = scores(weights, problem.features)
+    shift = s.max()
+    s = s - shift
+    e = np.exp(s)
+    z = e.sum()
+    p = e / z
+    log_p = s - np.log(z)
+    log_z = float(shift + np.log(z))
+    marg, active, w, r, mix = _reweight(problem, p, zero_marginal)
+
+    values = problem.features.values
+    phi_hat = values @ mix
+    phi_model = values @ p
+    loglik = float(w[active] @ np.log(marg[active]))
+    u_star = h = None
+    if clogc is not None:
+        u_star = float(p @ (clogc.T @ r))
+        h = -u_star - float(mix @ log_p) + loglik
+    return _Evaluation(
+        p, log_p, log_z, marg, active, w, r, mix, phi_hat, phi_model, loglik, u_star, h,
+        float(np.abs(phi_model - phi_hat).max()),
+    )
+
+
+def _q(log_z, weights, phi_hat_prev):
+    """Q(lambda | lambda_prev) = -log Z(lambda) + lambda . phi_hat(lambda_prev)."""
+    return float(-log_z + weights.lam @ phi_hat_prev)
 
 
 def e_step(problem, current, zero_marginal="error", model=None):
@@ -154,14 +234,10 @@ def e_step(problem, current, zero_marginal="error", model=None):
     (used for prior-seeded first iterations).
     """
     if model is None:
-        model = log_linear_distribution(current, problem.features)
-    post, active = _posteriors(problem, model, zero_marginal)
-    weights_omega = problem.empirical.probs * active
-    total = weights_omega.sum()
-    if total <= 0:
-        raise ValidationError("no observations remain after dropping zero-marginal ones")
-    weights_omega = weights_omega / total
-    mix = post.T @ weights_omega  # Pr(X) averaged over posteriors
+        return TargetExpectations(evaluate(problem, current, zero_marginal).phi_hat)
+    if len(model) != problem.features.n_elements:
+        raise DimensionMismatch("elements", problem.features.n_elements, len(model))
+    mix = _reweight(problem, model.probs, zero_marginal)[-1]
     return TargetExpectations(problem.features.values @ mix)
 
 
@@ -172,16 +248,10 @@ def log_likelihood(problem, weights, zero_marginal="error"):
     -inf; under policy "skip" it is dropped instead and the remaining
     empirical mass renormalized, as in likelihood_decomposition.
     """
-    model = log_linear_distribution(weights, problem.features)
-    marg = problem.channel.matrix @ model.probs
-    tilde = problem.empirical.probs
-    active = tilde > 0
-    if np.any(active & (marg <= 0)):
-        if zero_marginal != "skip":
-            return -np.inf
-        active &= marg > 0
-        tilde = tilde / tilde[active].sum()
-    return float(tilde[active] @ np.log(marg[active]))
+    try:
+        return evaluate(problem, weights, zero_marginal).loglik
+    except ZeroMarginal:
+        return -np.inf
 
 
 def likelihood_decomposition(problem, weights, weights_prev, zero_marginal="error"):
@@ -191,31 +261,14 @@ def likelihood_decomposition(problem, weights, weights_prev, zero_marginal="erro
     Terms with zero posterior contribute zero even when log Pr(omega|X)
     is -inf.
     """
-    model_prev = log_linear_distribution(weights_prev, problem.features)
-    post, active = _posteriors(problem, model_prev, zero_marginal)
-    tilde = problem.empirical.probs * active
-    tilde = tilde / tilde.sum()
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ch = np.where(post > 0, np.log(np.where(problem.channel.matrix > 0,
-                                                    problem.channel.matrix, 1.0)), 0.0)
-        plogp = np.where(post > 0, post * np.log(np.where(post > 0, post, 1.0)), 0.0)
-    u_star = float(tilde @ (post * log_ch).sum(axis=1))
-    h = -float(tilde @ plogp.sum(axis=1))
-
-    mix = post.T @ tilde
-    phi_hat = problem.features.values @ mix
-    q = float(-log_partition(weights, problem.features) + weights.lam @ phi_hat)
-    return u_star, q, h
+    prev = evaluate(problem, weights_prev, zero_marginal, _channel_xlogx(problem.channel))
+    q = _q(log_partition(weights, problem.features), weights, prev.phi_hat)
+    return prev.u_star, q, prev.h
 
 
 def constraint_residual(problem, weights, zero_marginal="error"):
     """Sup-norm gap between model expectations and the E-step targets at the same weights."""
-    model_exp = feature_expectation(
-        log_linear_distribution(weights, problem.features), problem.features
-    )
-    target = e_step(problem, weights, zero_marginal=zero_marginal)
-    return float(np.abs(model_exp - target.phi_hat).max())
+    return evaluate(problem, weights, zero_marginal).residual
 
 
 def _initial_weights(problem, config, seed=None):
@@ -230,7 +283,8 @@ def em_solve(problem, config=None, e_step_fn=None):
     """Run EM to a fixed point of the model-dependent constraints.
 
     e_step_fn(problem, weights, model=...) may replace the standard E-step
-    (the classifier bridge does this). Returns (Weights, EmTrace).
+    (the classifier bridge does this); it is called once per lambda.
+    Returns (Weights, EmTrace).
     """
     config = config or EmConfig()
     if config.restarts > 1:
@@ -243,43 +297,42 @@ def em_solve(problem, config=None, e_step_fn=None):
                 best = (w, tr)
         return best
 
-    estep = e_step_fn or (lambda prob, w, model=None: e_step(
-        prob, w, zero_marginal=config.zero_marginal, model=model))
+    clogc = _channel_xlogx(problem.channel)
 
-    def residual_at(w):
-        model_exp = feature_expectation(
-            log_linear_distribution(w, problem.features), problem.features
-        )
-        return float(np.abs(model_exp - estep(problem, w).phi_hat).max())
+    def evaluate_at(w):
+        """(evaluation, next M-step target, residual) at w."""
+        ev = evaluate(problem, w, config.zero_marginal, clogc)
+        if e_step_fn is None:
+            return ev, TargetExpectations(ev.phi_hat), ev.residual
+        target = e_step_fn(problem, w)
+        return ev, target, float(np.abs(ev.phi_model - target.phi_hat).max())
 
     lam = _initial_weights(problem, config)
     trace = EmTrace()
 
-    phi0 = estep(problem, lam,
-                 model=config.prior if config.init_mode == "prior" else None)
-    u0, q0, h0 = likelihood_decomposition(problem, lam, lam, config.zero_marginal)
+    ev, target, residual = evaluate_at(lam)
+    if config.init_mode == "prior":
+        estep = e_step_fn or partial(e_step, zero_marginal=config.zero_marginal)
+        target = estep(problem, lam, model=config.prior)
     trace.rows.append(EmIteration(
-        0, np.array(lam.lam), np.array(phi0.phi_hat),
-        log_likelihood(problem, lam, config.zero_marginal),
-        q0, h0, u0, residual_at(lam), 0,
+        0, np.array(lam.lam), np.array(target.phi_hat), ev.loglik,
+        _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, residual, 0,
     ))
 
-    phi_hat = phi0
-    loglik_prev = trace.rows[0].loglik
     for t in range(1, config.max_em_iter + 1):
-        result = minimize_dual(phi_hat, problem.features, init=lam, config=config.inner)
+        result = minimize_dual(target, problem.features, init=lam, config=config.inner)
         lam_new = result.weights
-        loglik = log_likelihood(problem, lam_new, config.zero_marginal)
-        u, q, h = likelihood_decomposition(problem, lam_new, lam, config.zero_marginal)
-        residual = residual_at(lam_new)
+        ev_new, target_new, residual = evaluate_at(lam_new)
+        # The bound's U* and H are taken at the previous weights, Q at the new ones.
         trace.rows.append(EmIteration(
-            t, np.array(lam_new.lam), np.array(phi_hat.phi_hat),
-            loglik, q, h, u, residual, result.iterations,
+            t, np.array(lam_new.lam), np.array(target.phi_hat), ev_new.loglik,
+            _q(ev_new.log_z, lam_new, ev.phi_hat), ev.h, ev.u_star, residual,
+            result.iterations,
         ))
 
         lam_change = float(np.abs(lam_new.lam - lam.lam).max())
-        lik_change = abs(loglik - loglik_prev)
-        lam, loglik_prev = lam_new, loglik
+        lik_change = abs(ev_new.loglik - ev.loglik)
+        lam, ev, target = lam_new, ev_new, target_new
         if (lam_change <= config.lambda_tol or lik_change <= config.likelihood_tol) \
                 and residual <= 10 * config.lambda_tol:
             trace.converged = True
@@ -287,8 +340,6 @@ def em_solve(problem, config=None, e_step_fn=None):
                 "lambda_tol" if lam_change <= config.lambda_tol else "likelihood_tol"
             )
             return lam, trace
-
-        phi_hat = estep(problem, lam)
 
     trace.converged = False
     trace.termination = "max_em_iter"

@@ -14,7 +14,7 @@ import numpy as np
 from .classifier import ClassifierProfile, LabelMap, SoftClassifierBatch
 from .dual import SolverConfig
 from .em import EmConfig, UMaxEntProblem
-from .errors import ValidationError
+from .errors import UMaxEntError, ValidationError
 from .model import (
     Distribution,
     ElementSpace,
@@ -79,7 +79,7 @@ def _block(name):
         yield
     except KeyError as exc:
         raise ValidationError(f"problem file missing section {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError, UMaxEntError) as exc:
         raise ValidationError(f"malformed {name}: {' '.join(str(exc).split())}") from exc
 
 
@@ -107,7 +107,12 @@ def load_problem(doc):
     with _block("solver"):
         solver_config = SolverConfig(**doc.get("solver", {}))
     with _block("em"):
-        em_config = EmConfig(inner=solver_config, **doc.get("em", {}))
+        em = dict(doc.get("em", {}))
+        if em.get("prior") is not None:
+            em["prior"] = Distribution(em["prior"])
+            if len(em["prior"]) != space.size:
+                raise ValueError(f"prior has {len(em['prior'])} entries, not {space.size}")
+        em_config = EmConfig(inner=solver_config, **em)
 
     factorization = None
     if "latent" in doc:

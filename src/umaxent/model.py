@@ -137,7 +137,9 @@ class ObservationChannel:
     observation_names: tuple = None
 
     def __init__(self, matrix, observation_names=None):
-        matrix = _as_float_array(matrix, "channel matrix", 2)
+        # One owned copy, normalized in place: a second |Omega| x |X| array
+        # per channel fragments the heap of a process that loads many files.
+        matrix = _as_float_array(np.array(matrix, dtype=float), "channel matrix", 2)
         if np.any(matrix < 0) or np.any(matrix > 1):
             raise ValidationError("channel entries must lie in [0, 1]")
         col_sums = matrix.sum(axis=0)
@@ -146,7 +148,7 @@ class ObservationChannel:
             raise ValidationError(
                 f"channel column {bad[0]} sums to {col_sums[bad[0]]}, not 1"
             )
-        matrix = matrix / col_sums
+        matrix /= col_sums
         if observation_names is None:
             observation_names = tuple(f"w{i}" for i in range(matrix.shape[0]))
         else:

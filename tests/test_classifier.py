@@ -193,6 +193,27 @@ def test_classifier_em_perfect_batch_matches_standard():
     assert 0.5 * np.abs(d_em - d_direct).sum() <= 1e-6
 
 
+def test_classifier_em_soft_hook_called_once_per_lambda(monkeypatch):
+    import umaxent.classifier
+
+    rng = np.random.default_rng(8)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
+    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=50),
+                                Distribution(np.full(3, 1 / 3)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return soft_e_step(*args, **kwargs)
+
+    monkeypatch.setattr(umaxent.classifier, "soft_e_step", counting)
+    _, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
+    assert len(trace) > 2
+    assert len(calls) == len(trace)
+    assert [w.lam.tolist() for w in calls] == [r.lam.tolist() for r in trace.rows]
+
+
 def test_classifier_em_hard_path_runs():
     rng = np.random.default_rng(6)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))

@@ -21,6 +21,7 @@ from umaxent import (
     observation_marginal,
     solve_standard_maxent,
 )
+from umaxent.em import _channel_xlogx, evaluate
 
 
 def make_problem(values, channel_matrix, empirical):
@@ -316,3 +317,93 @@ def test_trace_csv_schema():
         f"lambda_{i}" for i in range(k)
     ]
     assert len(text.splitlines()) == len(trace) + 1
+
+
+def dense_reference(problem, lam, zero_marginal="error"):
+    """The audit from the explicit |Omega| x |X| posterior matrix, term by term."""
+    p = log_linear_distribution(Weights(lam), problem.features).probs
+    ch = problem.channel.matrix
+    values = problem.features.values
+    marg = ch @ p
+    tilde = problem.empirical.probs
+    active = tilde > 0
+    if zero_marginal == "skip":
+        active &= marg > 0
+    post = np.zeros_like(ch)
+    ok = marg > 0
+    post[ok] = ch[ok] * p / marg[ok, None]
+    w = tilde * active
+    w = w / w.sum()
+    phi_hat = values @ (post.T @ w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ch = np.where(post > 0, np.log(np.where(ch > 0, ch, 1.0)), 0.0)
+        plogp = np.where(post > 0, post * np.log(np.where(post > 0, post, 1.0)), 0.0)
+    return {
+        "phi_hat": phi_hat,
+        "loglik": float(w[active] @ np.log(marg[active])),
+        "u_star": float(w @ (post * log_ch).sum(axis=1)),
+        "h": -float(w @ plogp.sum(axis=1)),
+        "residual": float(np.abs(values @ p - phi_hat).max()),
+    }
+
+
+def sparse_problem(rng, zero_rows=0):
+    """Random problem with zero channel entries and zero-mass observations.
+
+    zero_rows appends observations with an all-zero channel row but positive
+    empirical mass: they are dead under every model.
+    """
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 9))
+    k = int(rng.integers(1, 4))
+    channel = rng.dirichlet(np.ones(m), size=n).T
+    channel[rng.random(channel.shape) < 0.4] = 0.0
+    channel[rng.integers(m, size=n), np.arange(n)] += 0.1  # keep each column nonzero
+    channel = np.vstack([channel / channel.sum(axis=0), np.zeros((zero_rows, n))])
+    tilde = rng.dirichlet(np.ones(m + zero_rows))
+    tilde[:m][(rng.random(m) < 0.3) | (channel[:m].sum(axis=1) == 0)] = 0.0
+    tilde[np.argmax(channel[:m].sum(axis=1))] += 0.05  # keep a live observation
+    return make_problem(rng.uniform(-2, 2, size=(k, n)), channel, tilde / tilde.sum())
+
+
+@pytest.mark.parametrize("zero_rows, policy", [(0, "error"), (1, "skip")])
+def test_evaluate_matches_dense_reference(zero_rows, policy):
+    rng = np.random.default_rng(24 + zero_rows)
+    for _ in range(40):
+        problem = sparse_problem(rng, zero_rows)
+        lam = rng.uniform(-2, 2, size=problem.features.n_features)
+        ev = evaluate(problem, Weights(lam), policy, _channel_xlogx(problem.channel))
+        ref = dense_reference(problem, lam, policy)
+        assert np.max(np.abs(ev.phi_hat - ref["phi_hat"])) <= 1e-12
+        for name in ("loglik", "u_star", "h", "residual"):
+            assert getattr(ev, name) == pytest.approx(ref[name], abs=1e-12), name
+        if zero_rows:
+            assert not ev.active[-1]
+            with pytest.raises(ZeroMarginal):
+                evaluate(problem, Weights(lam))
+
+
+def test_evaluate_without_audit_matrix_leaves_audit_terms_empty():
+    rng = np.random.default_rng(26)
+    problem = random_problem(rng)
+    ev = evaluate(problem, Weights(np.zeros(problem.features.n_features)))
+    assert ev.u_star is None and ev.h is None
+
+
+def test_trace_rows_match_public_definitions():
+    rng = np.random.default_rng(27)
+    problem = random_problem(rng, n_max=6, m_max=9)
+    _, trace = em_solve(problem, EmConfig(max_em_iter=30))
+    assert len(trace) > 3
+    prev = None
+    for row in trace.rows:
+        lam = Weights(row.lam)
+        u, q, h = likelihood_decomposition(problem, lam, prev or lam)
+        assert row.loglik == pytest.approx(log_likelihood(problem, lam), abs=1e-12)
+        assert row.u_star == pytest.approx(u, abs=1e-12)
+        assert row.q == pytest.approx(q, abs=1e-12)
+        assert row.h == pytest.approx(h, abs=1e-12)
+        assert row.residual == pytest.approx(constraint_residual(problem, lam), abs=1e-12)
+        if prev is not None:
+            assert np.max(np.abs(row.phi_hat - e_step(problem, prev).phi_hat)) <= 1e-12
+        prev = lam

@@ -154,6 +154,34 @@ def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def test_cli_solve_em_prior_block(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, seed=12)
+    doc = json.loads(problem.read_text())
+    doc["em"] = {"init_mode": "prior", "prior": [0.2, 0.3, 0.5]}
+    problem.write_text(json.dumps(doc))
+    assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "prob_trace.csv").read_text().splitlines()
+    assert len(rows) >= 3
+
+    for bad in ([0.5, 0.5], [0.2, 0.3, 0.6]):
+        doc["em"]["prior"] = bad
+        problem.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="malformed em"):
+            load_problem(doc)
+        assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed em: ") and err.count("\n") == 1
+
+
+def test_cli_solve_init_prior_without_prior_exit_code(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, seed=12)
+    code = main(["solve", str(problem), "--init", "prior", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "prior" in err and err.count("\n") == 1
+    assert not (tmp_path / "prob_result.json").exists()
+
+
 def test_cli_solve_missing_file_exit_code(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION

@@ -46,6 +46,14 @@ def test_channel_requires_stochastic_columns():
     assert "column 0" in str(exc.value)
 
 
+def test_channel_normalizes_a_copy():
+    given = np.array([[0.5 + 1e-10, 0.3], [0.5, 0.7]])
+    channel = ObservationChannel(given)
+    assert np.allclose(channel.matrix.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    assert given[0, 0] == 0.5 + 1e-10
+    assert not np.shares_memory(given, channel.matrix)
+
+
 def test_empirical_from_counts():
     emp = EmpiricalObservations(counts=[3, 1])
     assert np.allclose(emp.probs, [0.75, 0.25])

@@ -1,0 +1,71 @@
+"""Property tests on the single per-lambda evaluation behind EM."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from umaxent import (
+    Distribution,
+    ElementSpace,
+    EmpiricalObservations,
+    FeatureTable,
+    ObservationChannel,
+    UMaxEntProblem,
+    Weights,
+)
+from umaxent.em import _channel_xlogx, evaluate
+
+
+def build(values, channel, tilde):
+    feat = FeatureTable(values)
+    return UMaxEntProblem(ElementSpace(range(feat.n_elements)), feat,
+                          ObservationChannel(channel), EmpiricalObservations(Distribution(tilde)))
+
+
+@st.composite
+def problems(draw):
+    """(values, channel, tilde, lam) with zero channel entries and zero-mass observations."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-3, 3, size=(k, n))
+    channel = rng.dirichlet(np.ones(m), size=n).T
+    channel[rng.random(channel.shape) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = 0.0
+    channel[rng.integers(m, size=n), np.arange(n)] += 0.1
+    channel /= channel.sum(axis=0)
+    tilde = rng.dirichlet(np.ones(m)) * (channel.sum(axis=1) > 0)
+    if draw(st.booleans()):
+        tilde[rng.random(m) < 0.3] = 0.0
+    tilde[np.argmax(channel.sum(axis=1))] += 0.1
+    lam = rng.uniform(-3, 3, size=k)
+    return values, channel, tilde / tilde.sum(), lam, rng
+
+
+def evaluated(values, channel, tilde, lam):
+    problem = build(values, channel, tilde)
+    return evaluate(problem, Weights(lam), clogc=_channel_xlogx(problem.channel))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_phi_hat_stays_inside_feature_range(case):
+    values, channel, tilde, lam, _ = case
+    ev = evaluated(values, channel, tilde, lam)
+    slack = 1e-12 * (1 + np.abs(values).max())
+    assert np.all(ev.phi_hat >= values.min(axis=1) - slack)
+    assert np.all(ev.phi_hat <= values.max(axis=1) + slack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_evaluation_invariant_under_relabelling(case):
+    values, channel, tilde, lam, rng = case
+    ev = evaluated(values, channel, tilde, lam)
+    px = rng.permutation(values.shape[1])
+    pw = rng.permutation(channel.shape[0])
+    ev_perm = evaluated(values[:, px], channel[pw][:, px], tilde[pw], lam)
+    assert ev_perm.phi_hat == pytest.approx(ev.phi_hat, abs=1e-12)
+    for name in ("loglik", "u_star", "h", "residual"):
+        assert getattr(ev_perm, name) == pytest.approx(getattr(ev, name), abs=1e-12), name
