@@ -13,8 +13,6 @@ from .classifier import (
     LabelSpace,
     SoftClassifierBatch,
     classifier_em_solve,
-    hard_label_e_step,
-    soft_correction,
     soft_e_step,
 )
 from .dual import (
@@ -36,7 +34,6 @@ from .em import (
     log_likelihood,
 )
 from .errors import (
-    DegenerateRow,
     DimensionMismatch,
     InfeasibleTarget,
     PreconditionViolated,
@@ -57,7 +54,6 @@ from .model import (
     log_linear_distribution,
     log_partition,
     observation_marginal,
-    posterior,
 )
 from .reductions import (
     LatentFactorization,

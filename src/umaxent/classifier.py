@@ -1,34 +1,22 @@
-"""Building uncertain-MaxEnt constraints from black-box classifier outputs.
+"""Building uncertain-MaxEnt problems from black-box classifier outputs.
 
-Two paths: hard labels through a confusion matrix lifted to Pr(label | X),
-and soft per-sample output distributions with the training-prior
-replacement correction. Neither path ever sees the raw data; only
-classifier outputs and confusion statistics enter.
+Both paths are plain channel problems solved by em_solve. Hard labels
+observe the elements through a confusion matrix lifted to Pr(label | X).
+A soft batch makes each output row an observation with
+Pr(row | X) proportional to row(d(X)) / theta(d(X)), theta the training
+prior; EM on that channel is the training-prior replacement correction.
+Neither path ever sees the raw data; only classifier outputs and
+confusion statistics enter.
 """
 
 import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import TargetExpectations
 from .em import EmConfig, UMaxEntProblem, e_step, em_solve
-from .errors import (
-    DegenerateRow,
-    DimensionMismatch,
-    ValidationError,
-    ZeroMarginal,
-    ZeroTrainingPrior,
-)
-from .model import (
-    Distribution,
-    EmpiricalObservations,
-    ObservationChannel,
-    log_linear_distribution,
-)
-
-logger = logging.getLogger(__name__)
+from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
+from .model import Distribution, ElementSpace, EmpiricalObservations, ObservationChannel
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,120 +165,91 @@ class SoftClassifierBatch:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def hard_label_e_step(empirical_xi, profile, label_map, current, features,
-                      zero_marginal="error"):
-    """E-step when the classifier emits hard labels.
+@dataclass(frozen=True, eq=False)
+class LabelChannel:
+    """A channel over labels composed with a label map: Pr(omega | X) = A[omega, d(X)].
 
-    The confusion matrix lifted through the label map is just another
-    observation channel over labels, so this delegates to the standard
-    E-step.
+    Provides the three products EM reads from a channel without forming the
+    |Omega| x |X| matrix; C log C is formed at label level.
     """
-    from .model import ElementSpace
 
-    channel = profile.lift(label_map)
-    problem = UMaxEntProblem(
-        ElementSpace(range(features.n_elements)), features, channel,
-        EmpiricalObservations(empirical_xi),
+    labels: ObservationChannel  # A: |Omega| x |labels|
+    label_map: LabelMap
+
+    def __post_init__(self):
+        if self.labels.n_elements != self.label_map.n_labels:
+            raise DimensionMismatch("labels", self.labels.n_elements, self.label_map.n_labels)
+
+    @property
+    def n_observations(self):
+        return self.labels.n_observations
+
+    @property
+    def n_elements(self):
+        return self.label_map.n_elements
+
+    def matvec(self, v):
+        return self.labels.matvec(self.label_map.d.T @ v)
+
+    def rmatvec(self, v):
+        return self.label_map.d @ self.labels.rmatvec(v)
+
+    def xlogx_rmatvec(self, v):
+        return self.label_map.d @ self.labels.xlogx_rmatvec(v)
+
+
+def _soft_problem(features, batch, label_map, apply_correction=True):
+    """The soft batch as a channel problem whose observations are the batch rows.
+
+    Row i is observed with Pr(i | X) = r_{i,d(X)} / theta_{d(X)} / c, where
+    c = max_l sum_i r_il / theta_l keeps every column sum at most 1. One last
+    "row not in the batch" observation with no empirical mass takes the rest
+    of each column; it changes neither the posteriors nor the E-step, and the
+    log-likelihood is sum_i w_i log sum_l r_il Pr(l) / theta_l minus log c.
+    Without the correction the observations are the labels themselves, seen
+    through the identity with the batch label marginal as their frequencies.
+    """
+    if apply_correction:
+        rows = batch.rows
+        theta = batch.training_prior.probs
+        bad = np.flatnonzero(np.any((rows > 0) & (theta <= 0), axis=0))
+        if bad.size:
+            raise ZeroTrainingPrior(int(bad[0]))
+        scaled = np.divide(rows, theta, out=np.zeros_like(rows), where=theta > 0)
+        scaled /= scaled.sum(axis=0).max()
+        rest = np.maximum(1.0 - scaled.sum(axis=0), 0.0)
+        labels = ObservationChannel(np.vstack([scaled, rest]))
+        observed = np.append(batch.sample_weights, 0.0)
+    else:
+        labels = ObservationChannel.identity(batch.n_labels)
+        observed = batch.sample_weights @ batch.rows
+    return UMaxEntProblem(
+        ElementSpace(range(features.n_elements)), features,
+        LabelChannel(labels, label_map), EmpiricalObservations(Distribution(observed)),
     )
-    return e_step(problem, current, zero_marginal=zero_marginal)
-
-
-def soft_correction(batch_row, training_prior, model_prior):
-    """Replace the training prior inside a classifier output row, renormalize.
-
-    out(label) is proportional to row(label) * model_prior(label) /
-    training_prior(label).
-    """
-    row = np.asarray(batch_row.probs if isinstance(batch_row, Distribution) else batch_row,
-                     dtype=float)
-    theta = training_prior.probs
-    target = model_prior.probs
-    bad = np.flatnonzero((row > 0) & (theta <= 0))
-    if bad.size:
-        raise ZeroTrainingPrior(int(bad[0]))
-    corrected = np.where(theta > 0, row * target / np.where(theta > 0, theta, 1.0), 0.0)
-    total = corrected.sum()
-    if total <= 0:
-        raise DegenerateRow(-1)
-    return Distribution(corrected / total)
-
-
-def _corrected_rows(batch, model_prior, apply_correction=True):
-    """Vectorized correction of all batch rows; returns rows, kept-row mask."""
-    rows = batch.rows
-    if not apply_correction:
-        return rows, np.ones(batch.n_samples, dtype=bool)
-    theta = batch.training_prior.probs
-    bad = np.flatnonzero((rows > 0) & (theta[None, :] <= 0))
-    if bad.size:
-        raise ZeroTrainingPrior(int(np.unravel_index(bad[0], rows.shape)[1]))
-    corrected = rows * model_prior.probs / np.where(theta > 0, theta, 1.0)
-    totals = corrected.sum(axis=1)
-    keep = totals > 0
-    if not np.all(keep):
-        logger.warning("skipping %d degenerate corrected row(s)", int((~keep).sum()))
-    out = np.zeros_like(corrected)
-    out[keep] = corrected[keep] / totals[keep, None]
-    return out, keep
 
 
 def soft_e_step(batch, label_map, current, features, apply_correction=True,
                 zero_marginal="error"):
     """E-step from soft classifier outputs with the training-prior correction.
 
-    Uses the current model's label marginal as the replacement prior, maps
-    corrected rows through Pr(X | label) = d(X, label) Pr(X) / Pr(label),
-    and averages feature expectations over samples. Degenerate corrected
-    rows are skipped with renormalized sample weights.
+    Each row, reweighted by the current model's label marginal over the
+    training prior and renormalized, is mapped through
+    Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averaged over samples.
+    This is e_step on the problem classifier_em_solve solves; a row whose
+    corrected mass is zero follows zero_marginal like any observation.
     """
-    if label_map.n_labels != batch.n_labels:
-        raise DimensionMismatch("labels", batch.n_labels, label_map.n_labels)
-    if label_map.n_elements != features.n_elements:
-        raise DimensionMismatch("elements", features.n_elements, label_map.n_elements)
-
-    model = log_linear_distribution(current, features)
-    label_marginal = Distribution(label_map.d.T @ model.probs)
-    corrected, keep = _corrected_rows(batch, label_marginal, apply_correction)
-
-    weights = batch.sample_weights * keep
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError("every batch row was degenerate after correction")
-    weights = weights / total
-
-    # Pr(X | label) columns; labels with zero model mass but row support error out.
-    lm = label_marginal.probs
-    used = corrected[keep].sum(axis=0) > 0
-    dead = used & (lm <= 0)
-    if np.any(dead):
-        if zero_marginal == "skip":
-            logger.warning("dropping labels with zero model marginal from the soft E-step")
-            corrected = corrected * (~dead)[None, :]
-            sums = corrected.sum(axis=1)
-            keep = keep & (sums > 0)
-            corrected[keep] = corrected[keep] / sums[keep, None]
-            weights = batch.sample_weights * keep
-            weights = weights / weights.sum()
-        else:
-            raise ZeroMarginal(int(np.flatnonzero(dead)[0]))
-    post_x_given_label = np.where(
-        lm[None, :] > 0, label_map.d * model.probs[:, None] / np.where(lm > 0, lm, 1.0), 0.0
-    )  # |X| x |labels|
-
-    label_mix = corrected.T @ weights  # expected corrected label distribution
-    x_mix = post_x_given_label @ label_mix
-    return TargetExpectations(features.values @ x_mix)
+    problem = _soft_problem(features, batch, label_map, apply_correction)
+    return e_step(problem, current, zero_marginal)
 
 
 def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,
                         profile=None, config=None, apply_correction=True):
-    """EM with the classifier-derived E-step substituted for the standard one.
+    """EM on the channel problem that classifier outputs define.
 
     Soft path when a batch is given, hard-label path when empirical label
     frequencies plus a confusion profile are given.
     """
-    from .model import ElementSpace
-
     config = config or EmConfig()
     if (batch is None) == (empirical_xi is None):
         raise ValidationError("provide either a soft batch or hard-label empirical data")
@@ -298,25 +257,12 @@ def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,
         raise ValidationError("a label map is required")
 
     if batch is not None:
-        # The label marginal of the batch serves only as the problem's
-        # empirical record; the E-step never reads it.
-        observed = Distribution(batch.sample_weights @ batch.rows)
-        channel = ObservationChannel(label_map.d.T)
-
-        def estep(problem, weights, model=None):
-            return soft_e_step(batch, label_map, weights,
-                               problem.features, apply_correction,
-                               zero_marginal=config.zero_marginal)
-
-        empirical = EmpiricalObservations(observed)
+        problem = _soft_problem(features, batch, label_map, apply_correction)
     else:
         if profile is None:
             raise ValidationError("hard-label path needs a classifier profile")
-        channel = profile.lift(label_map)
-        empirical = EmpiricalObservations(empirical_xi)
-        estep = None  # standard E-step on the lifted channel
-
-    problem = UMaxEntProblem(
-        ElementSpace(range(features.n_elements)), features, channel, empirical
-    )
-    return em_solve(problem, config, e_step_fn=estep)
+        problem = UMaxEntProblem(
+            ElementSpace(range(features.n_elements)), features, profile.lift(label_map),
+            EmpiricalObservations(empirical_xi),
+        )
+    return em_solve(problem, config)

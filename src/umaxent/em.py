@@ -7,14 +7,17 @@ targets to the convex dual minimizer. The likelihood decomposition
 
 The loop evaluates the model once per lambda (evaluate): the E-step
 targets, the log-likelihood, the audit terms and the residual all come
-from matrix-vector products with the channel C and with C log C.
+from matrix-vector products with the channel C and with C log C. A channel
+is read only through its matvec (C @ v), rmatvec (C^T @ v) and
+xlogx_rmatvec ((C log C)^T @ v), so a factored channel such as a
+classifier batch composed with a label map runs the same loop as a dense
+one.
 """
 
 import csv
 import io
 import logging
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -124,15 +127,6 @@ class EmTrace:
         return buf.getvalue()
 
 
-def _channel_xlogx(channel):
-    """C * log C elementwise with 0 log 0 = 0: the one |Omega| x |X| array the audit needs."""
-    c = channel.matrix
-    out = np.zeros_like(c)
-    np.log(c, out=out, where=c > 0)
-    out *= c
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
     """Everything EM reads from the model at one lambda.
@@ -142,19 +136,12 @@ class _Evaluation:
     distribution over X, phi_hat = F mix, L = w . log m,
     U* = p . ((C log C)^T r) and H = -U* - mix . log p + L. None of these
     needs the |Omega| x |X| posterior matrix. u_star and h are None when
-    the evaluation was made without C log C.
+    the evaluation was made without the audit.
     """
 
-    p: np.ndarray
-    log_p: np.ndarray
     log_z: float
-    marginal: np.ndarray
     active: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
-    mix: np.ndarray
     phi_hat: np.ndarray
-    phi_model: np.ndarray
     loglik: float
     u_star: float
     h: float
@@ -167,8 +154,8 @@ def _reweight(problem, p, zero_marginal):
     Observations with empirical mass but zero model marginal either raise
     or (policy "skip") are dropped from the active mask with a warning.
     """
-    channel = problem.channel.matrix
-    marg = channel @ p
+    channel = problem.channel
+    marg = channel.matvec(p)
     tilde = problem.empirical.probs
     active = tilde > 0
     dead = active & (marg <= 0)
@@ -186,14 +173,15 @@ def _reweight(problem, p, zero_marginal):
         raise ValidationError("no observations remain after dropping zero-marginal ones")
     w = w / total
     r = np.divide(w, marg, out=np.zeros_like(w), where=active)
-    mix = p * (channel.T @ r)
+    mix = p * channel.rmatvec(r)
     return marg, active, w, r, mix
 
 
-def evaluate(problem, weights, zero_marginal="error", clogc=None):
+def evaluate(problem, weights, zero_marginal="error", audit=False):
     """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual.
 
-    clogc is _channel_xlogx(problem.channel); without it u_star and h are None.
+    With audit the U* and H terms are computed too (one more product, with
+    C log C); without it u_star and h are None.
     log p is taken from the scores, so elements whose probability underflows
     keep a finite log.
     """
@@ -209,16 +197,13 @@ def evaluate(problem, weights, zero_marginal="error", clogc=None):
 
     values = problem.features.values
     phi_hat = values @ mix
-    phi_model = values @ p
     loglik = float(w[active] @ np.log(marg[active]))
     u_star = h = None
-    if clogc is not None:
-        u_star = float(p @ (clogc.T @ r))
+    if audit:
+        u_star = float(p @ problem.channel.xlogx_rmatvec(r))
         h = -u_star - float(mix @ log_p) + loglik
-    return _Evaluation(
-        p, log_p, log_z, marg, active, w, r, mix, phi_hat, phi_model, loglik, u_star, h,
-        float(np.abs(phi_model - phi_hat).max()),
-    )
+    residual = float(np.abs(values @ p - phi_hat).max())
+    return _Evaluation(log_z, active, phi_hat, loglik, u_star, h, residual)
 
 
 def _q(log_z, weights, phi_hat_prev):
@@ -261,7 +246,7 @@ def likelihood_decomposition(problem, weights, weights_prev, zero_marginal="erro
     Terms with zero posterior contribute zero even when log Pr(omega|X)
     is -inf.
     """
-    prev = evaluate(problem, weights_prev, zero_marginal, _channel_xlogx(problem.channel))
+    prev = evaluate(problem, weights_prev, zero_marginal, audit=True)
     q = _q(log_partition(weights, problem.features), weights, prev.phi_hat)
     return prev.u_star, q, prev.h
 
@@ -279,11 +264,13 @@ def _initial_weights(problem, config, seed=None):
     return Weights(np.zeros(k))
 
 
-def em_solve(problem, config=None, e_step_fn=None):
+def em_solve(problem, config=None):
     """Run EM to a fixed point of the model-dependent constraints.
 
-    e_step_fn(problem, weights, model=...) may replace the standard E-step
-    (the classifier bridge does this); it is called once per lambda.
+    Each iteration is one M-step on the targets of the last evaluation and
+    one evaluation at the new weights, which gives the next targets and the
+    trace row's log-likelihood, audit terms and residual. Under init_mode
+    "prior" the first targets are the E-step under the prior.
     Returns (Weights, EmTrace).
     """
     config = config or EmConfig()
@@ -292,49 +279,39 @@ def em_solve(problem, config=None, e_step_fn=None):
         for i in range(config.restarts):
             cfg = EmConfig(**{**config.__dict__, "restarts": 1,
                               "init_mode": "random", "seed": config.seed + i})
-            w, tr = em_solve(problem, cfg, e_step_fn=e_step_fn)
+            w, tr = em_solve(problem, cfg)
             if best is None or tr.rows[-1].loglik > best[1].rows[-1].loglik:
                 best = (w, tr)
         return best
 
-    clogc = _channel_xlogx(problem.channel)
-
-    def evaluate_at(w):
-        """(evaluation, next M-step target, residual) at w."""
-        ev = evaluate(problem, w, config.zero_marginal, clogc)
-        if e_step_fn is None:
-            return ev, TargetExpectations(ev.phi_hat), ev.residual
-        target = e_step_fn(problem, w)
-        return ev, target, float(np.abs(ev.phi_model - target.phi_hat).max())
-
     lam = _initial_weights(problem, config)
     trace = EmTrace()
 
-    ev, target, residual = evaluate_at(lam)
+    ev = evaluate(problem, lam, config.zero_marginal, audit=True)
+    target = TargetExpectations(ev.phi_hat)
     if config.init_mode == "prior":
-        estep = e_step_fn or partial(e_step, zero_marginal=config.zero_marginal)
-        target = estep(problem, lam, model=config.prior)
+        target = e_step(problem, lam, config.zero_marginal, model=config.prior)
     trace.rows.append(EmIteration(
         0, np.array(lam.lam), np.array(target.phi_hat), ev.loglik,
-        _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, residual, 0,
+        _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, ev.residual, 0,
     ))
 
     for t in range(1, config.max_em_iter + 1):
         result = minimize_dual(target, problem.features, init=lam, config=config.inner)
         lam_new = result.weights
-        ev_new, target_new, residual = evaluate_at(lam_new)
+        ev_new = evaluate(problem, lam_new, config.zero_marginal, audit=True)
         # The bound's U* and H are taken at the previous weights, Q at the new ones.
         trace.rows.append(EmIteration(
             t, np.array(lam_new.lam), np.array(target.phi_hat), ev_new.loglik,
-            _q(ev_new.log_z, lam_new, ev.phi_hat), ev.h, ev.u_star, residual,
+            _q(ev_new.log_z, lam_new, ev.phi_hat), ev.h, ev.u_star, ev_new.residual,
             result.iterations,
         ))
 
         lam_change = float(np.abs(lam_new.lam - lam.lam).max())
         lik_change = abs(ev_new.loglik - ev.loglik)
-        lam, ev, target = lam_new, ev_new, target_new
+        lam, ev, target = lam_new, ev_new, TargetExpectations(ev_new.phi_hat)
         if (lam_change <= config.lambda_tol or lik_change <= config.likelihood_tol) \
-                and residual <= 10 * config.lambda_tol:
+                and ev.residual <= 10 * config.lambda_tol:
             trace.converged = True
             trace.termination = (
                 "lambda_tol" if lam_change <= config.lambda_tol else "likelihood_tol"

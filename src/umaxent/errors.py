@@ -45,13 +45,5 @@ class ZeroTrainingPrior(UMaxEntError):
         super().__init__(f"training prior is zero on label {label} but the row is not")
 
 
-class DegenerateRow(UMaxEntError):
-    """A corrected classifier row sums to zero."""
-
-    def __init__(self, row_index):
-        self.row_index = row_index
-        super().__init__(f"corrected classifier row {row_index} sums to zero")
-
-
 class PreconditionViolated(UMaxEntError):
     """A verification routine was called outside its stated precondition."""

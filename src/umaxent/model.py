@@ -5,11 +5,12 @@ probabilities are handled in log space (log-sum-exp with max shift) so
 nothing here overflows or underflows at desk scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroMarginal
+from .errors import DimensionMismatch, ValidationError
 
 # Constructors accept this much normalization drift and renormalize exactly.
 NORMALIZATION_SLACK = 1e-9
@@ -171,6 +172,28 @@ class ObservationChannel:
     def identity(cls, n):
         return cls(np.eye(n))
 
+    # EM reads a channel only through these three products.
+    def matvec(self, v):
+        """C @ v."""
+        return self.matrix @ v
+
+    def rmatvec(self, v):
+        """C^T @ v."""
+        return self.matrix.T @ v
+
+    def xlogx_rmatvec(self, v):
+        """(C * log C)^T @ v, with 0 log 0 = 0."""
+        return self._xlogx.T @ v
+
+    @cached_property
+    def _xlogx(self):
+        """C * log C, the one other |Omega| x |X| array; built on first use, kept with C."""
+        c = self.matrix
+        out = np.zeros_like(c)
+        np.log(c, out=out, where=c > 0)
+        out *= c
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalObservations:
@@ -231,23 +254,6 @@ def observation_marginal(model, channel):
     if len(model) != channel.n_elements:
         raise DimensionMismatch("elements", channel.n_elements, len(model))
     return Distribution(channel.matrix @ model.probs)
-
-
-def posterior(model, channel, omega, zero_marginal="error"):
-    """Pr(X | omega) by Bayes rule under the given model.
-
-    zero_marginal: "error" raises ZeroMarginal when Pr(omega) = 0;
-    "skip" returns None instead (callers drop the observation).
-    """
-    if len(model) != channel.n_elements:
-        raise DimensionMismatch("elements", channel.n_elements, len(model))
-    joint = channel.matrix[omega] * model.probs
-    total = joint.sum()
-    if total <= 0.0:
-        if zero_marginal == "skip":
-            return None
-        raise ZeroMarginal(omega)
-    return Distribution(joint / total)
 
 
 def feature_expectation(dist, features):

@@ -3,25 +3,38 @@ import pytest
 
 from umaxent import (
     ClassifierProfile,
-    DegenerateRow,
+    DimensionMismatch,
     Distribution,
+    ElementSpace,
     EmConfig,
+    EmpiricalObservations,
     FeatureTable,
     LabelMap,
     LatentFactorization,
+    ObservationChannel,
     SoftClassifierBatch,
+    UMaxEntProblem,
     ValidationError,
     Weights,
+    ZeroMarginal,
     ZeroTrainingPrior,
     classifier_em_solve,
+    e_step,
     feature_expectation,
-    hard_label_e_step,
     latent_constraint_rhs,
     log_linear_distribution,
-    soft_correction,
     soft_e_step,
     solve_standard_maxent,
 )
+from umaxent.classifier import LabelChannel, _soft_problem
+from umaxent.em import evaluate
+
+
+def hard_label_e_step(emp, profile, lm, lam, feat):
+    """The E-step on the hard-label problem: the lifted confusion channel."""
+    problem = UMaxEntProblem(ElementSpace(range(feat.n_elements)), feat, profile.lift(lm),
+                             EmpiricalObservations(emp))
+    return e_step(problem, lam)
 
 
 def test_label_map_requires_deterministic_rows():
@@ -83,35 +96,47 @@ def test_hard_label_symmetric_confusion_hand_computed():
 
 
 def test_soft_correction_identity_when_priors_match():
+    # a training prior equal to the model's label marginal corrects nothing
     rng = np.random.default_rng(2)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
+    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 2], 4)
     for _ in range(20):
-        row = Distribution(rng.dirichlet(np.ones(4)))
-        bumped = rng.dirichlet(np.ones(4)) + 0.05
-        prior = Distribution(bumped / bumped.sum())
-        out = soft_correction(row, prior, prior)
-        assert np.max(np.abs(out.probs - row.probs)) <= 1e-14
+        lam = Weights(rng.normal(size=2))
+        prior = Distribution(lm.d.T @ log_linear_distribution(lam, feat).probs)
+        batch = SoftClassifierBatch(rng.dirichlet(np.ones(4), size=7), prior)
+        corrected = soft_e_step(batch, lm, lam, feat).phi_hat
+        raw = soft_e_step(batch, lm, lam, feat, apply_correction=False).phi_hat
+        assert np.max(np.abs(corrected - raw)) <= 1e-14
 
 
 def test_soft_correction_point_mass_stays_point_mass():
-    row = Distribution([0.0, 1.0, 0.0])
-    out = soft_correction(row, Distribution([0.3, 0.3, 0.4]),
-                          Distribution([0.5, 0.2, 0.3]))
-    assert np.allclose(out.probs, row.probs)
+    feat = FeatureTable([[1.0, 0.0, 0.5], [0.0, 2.0, 1.0]])
+    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    batch = SoftClassifierBatch([[0.0, 1.0, 0.0]], Distribution([0.3, 0.3, 0.4]))
+    lam = Weights([0.4, -0.7])
+    out = soft_e_step(batch, lm, lam, feat)
+    assert np.allclose(out.phi_hat, feat.values[:, 1], rtol=0, atol=1e-15)
 
 
 def test_soft_correction_hand_computed():
-    out = soft_correction(Distribution([0.6, 0.4]), Distribution([0.5, 0.5]),
-                          Distribution([0.9, 0.1]))
-    assert np.allclose(out.probs, [0.54 / 0.58, 0.04 / 0.58])
+    # labels are the elements; the model [0.9, 0.1] replaces the prior [0.5, 0.5]
+    feat = FeatureTable([[1.0, 0.0]])
+    lm = LabelMap.from_assignment([0, 1], 2)
+    batch = SoftClassifierBatch([[0.6, 0.4]], Distribution([0.5, 0.5]))
+    out = soft_e_step(batch, lm, Weights([np.log(9.0)]), feat)
+    assert out.phi_hat[0] == pytest.approx(0.54 / 0.58, abs=1e-14)
 
 
 def test_soft_correction_errors():
+    feat = FeatureTable([[1.0, 0.0]])
+    lm = LabelMap.from_assignment([0, 1], 2)
     with pytest.raises(ZeroTrainingPrior):
-        soft_correction(Distribution([0.5, 0.5]), Distribution([1.0, 0.0]),
-                        Distribution([0.5, 0.5]))
-    with pytest.raises(DegenerateRow):
-        soft_correction(Distribution([1.0, 0.0]), Distribution([0.5, 0.5]),
-                        Distribution([0.0, 1.0]))
+        soft_e_step(SoftClassifierBatch([[0.5, 0.5]], Distribution([1.0, 0.0])),
+                    lm, Weights([0.0]), feat)
+    # the model puts no mass on the row's only label: its corrected row is zero
+    with pytest.raises(ZeroMarginal):
+        soft_e_step(SoftClassifierBatch([[1.0, 0.0]], Distribution([0.5, 0.5])),
+                    lm, Weights([-800.0]), feat)
 
 
 def test_batch_validation():
@@ -174,8 +199,10 @@ def test_degenerate_rows_skipped_with_renormalized_weights():
     # model with zero mass on element 1 is impossible log-linearly, so
     # drive it there with a large weight: the corrected second row ~ 0
     lam = Weights([800.0])  # exp(-800) underflows: element 1 gets exactly zero mass
-    out = soft_e_step(batch, lm, lam, feat)
+    out = soft_e_step(batch, lm, lam, feat, zero_marginal="skip")
     assert out.phi_hat[0] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ZeroMarginal):
+        soft_e_step(batch, lm, lam, feat, zero_marginal="error")
 
 
 def test_classifier_em_perfect_batch_matches_standard():
@@ -193,25 +220,105 @@ def test_classifier_em_perfect_batch_matches_standard():
     assert 0.5 * np.abs(d_em - d_direct).sum() <= 1e-6
 
 
-def test_classifier_em_soft_hook_called_once_per_lambda(monkeypatch):
-    import umaxent.classifier
-
+def test_classifier_em_soft_trace_targets_are_soft_e_steps():
     rng = np.random.default_rng(8)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
     lm = LabelMap.from_assignment([0, 1, 2], 3)
     batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=50),
-                                Distribution(np.full(3, 1 / 3)))
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return soft_e_step(*args, **kwargs)
-
-    monkeypatch.setattr(umaxent.classifier, "soft_e_step", counting)
+                                Distribution([0.5, 0.3, 0.2]))
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
     assert len(trace) > 2
-    assert len(calls) == len(trace)
-    assert [w.lam.tolist() for w in calls] == [r.lam.tolist() for r in trace.rows]
+    for prev, row in zip(trace.rows, trace.rows[1:]):
+        expected = soft_e_step(batch, lm, Weights(prev.lam), feat).phi_hat
+        assert np.max(np.abs(row.phi_hat - expected)) <= 1e-12
+        model = feature_expectation(log_linear_distribution(Weights(row.lam), feat), feat)
+        residual = np.abs(model - soft_e_step(batch, lm, Weights(row.lam), feat).phi_hat).max()
+        assert row.residual == pytest.approx(residual, abs=1e-12)
+
+
+def crit9_batch():
+    """The criterion-9 batch: 1e5 classifier rows trained under a uniform prior."""
+    rng = np.random.default_rng(42)
+    feat = FeatureTable([[1.0, 0.0]])
+    lm = LabelMap.from_assignment([0, 1], 2)
+    truth = log_linear_distribution(Weights([np.log(4.0)]), feat)
+    raw = np.array([[0.30, 0.25, 0.20, 0.10, 0.10, 0.05],
+                    [0.05, 0.10, 0.10, 0.20, 0.25, 0.30]])
+    training_prior = Distribution([0.5, 0.5])
+    joint = raw * training_prior.probs[:, None]
+    rows = (joint / joint.sum(axis=0)).T
+    signals = rng.choice(6, size=100_000, p=truth.probs @ raw)
+    return feat, lm, SoftClassifierBatch(rows[signals], training_prior)
+
+
+def test_classifier_em_soft_audit_is_monotone_and_bounding():
+    feat, lm, batch = crit9_batch()
+    _, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
+    assert trace.converged and len(trace) > 10
+    assert np.diff(trace.logliks()).min() >= -1e-12
+    for row in trace.rows:
+        assert row.u_star + row.q + row.h <= row.loglik + 1e-12
+
+
+def test_classifier_em_soft_loglik_is_soft_likelihood_up_to_constant():
+    # L_soft(lambda) = sum_i w_i log sum_l r_il Pr(l) / theta_l
+    feat, lm, batch = crit9_batch()
+    _, trace = classifier_em_solve(feat, batch=batch, label_map=lm,
+                                   config=EmConfig(max_em_iter=5))
+    scaled = batch.rows / batch.training_prior.probs
+    shifts = []
+    for row in trace.rows:
+        labels = lm.d.T @ log_linear_distribution(Weights(row.lam), feat).probs
+        l_soft = batch.sample_weights @ np.log(scaled @ labels)
+        shifts.append(row.loglik - l_soft)
+    assert np.ptp(shifts) <= 1e-12
+    assert shifts[0] == pytest.approx(-np.log(scaled.sum(axis=0).max()), abs=1e-12)
+
+
+def test_classifier_em_soft_prior_init_starts_from_prior_e_step():
+    rng = np.random.default_rng(9)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
+    lm = LabelMap.from_assignment([0, 1, 2, 0, 1, 2], 3)
+    batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=40),
+                                Distribution([0.2, 0.3, 0.5]))
+    prior = Distribution(rng.dirichlet(np.ones(6)))
+    config = EmConfig(init_mode="prior", prior=prior, max_em_iter=2)
+    _, trace = classifier_em_solve(feat, batch=batch, label_map=lm, config=config)
+    expected = e_step(_soft_problem(feat, batch, lm), None, model=prior).phi_hat
+    assert np.max(np.abs(trace.rows[0].phi_hat - expected)) <= 1e-14
+    _, zero = classifier_em_solve(feat, batch=batch, label_map=lm,
+                                  config=EmConfig(max_em_iter=2))
+    assert np.max(np.abs(trace.rows[0].phi_hat - zero.rows[0].phi_hat)) > 1e-3
+
+
+@pytest.mark.parametrize("apply_correction", [True, False])
+def test_soft_problem_matches_dense_label_composition(apply_correction):
+    # the factored channel against its |Omega| x |X| expansion, term by term
+    rng = np.random.default_rng(10)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(3, 7)))
+    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 2, 2], 4)
+    rows = rng.dirichlet(np.ones(4), size=12)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, 0] += 0.1
+    batch = SoftClassifierBatch(rows / rows.sum(axis=1, keepdims=True),
+                                Distribution([0.1, 0.2, 0.3, 0.4]))
+    factored = _soft_problem(feat, batch, lm, apply_correction)
+    labels = factored.channel.labels.matrix
+    assert np.allclose(labels.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    dense = UMaxEntProblem(factored.space, feat, ObservationChannel(labels @ lm.d.T),
+                           factored.empirical)
+    for _ in range(10):
+        lam = Weights(rng.uniform(-2, 2, size=3))
+        a = evaluate(factored, lam, audit=True)
+        b = evaluate(dense, lam, audit=True)
+        assert np.max(np.abs(a.phi_hat - b.phi_hat)) <= 1e-13
+        for name in ("loglik", "u_star", "h", "residual"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-13), name
+
+
+def test_label_channel_checks_label_count():
+    with pytest.raises(DimensionMismatch):
+        LabelChannel(ObservationChannel.identity(3), LabelMap.from_assignment([0, 1], 2))
 
 
 def test_classifier_em_hard_path_runs():

@@ -21,7 +21,7 @@ from umaxent import (
     observation_marginal,
     solve_standard_maxent,
 )
-from umaxent.em import _channel_xlogx, evaluate
+from umaxent.em import evaluate
 
 
 def make_problem(values, channel_matrix, empirical):
@@ -372,7 +372,7 @@ def test_evaluate_matches_dense_reference(zero_rows, policy):
     for _ in range(40):
         problem = sparse_problem(rng, zero_rows)
         lam = rng.uniform(-2, 2, size=problem.features.n_features)
-        ev = evaluate(problem, Weights(lam), policy, _channel_xlogx(problem.channel))
+        ev = evaluate(problem, Weights(lam), policy, audit=True)
         ref = dense_reference(problem, lam, policy)
         assert np.max(np.abs(ev.phi_hat - ref["phi_hat"])) <= 1e-12
         for name in ("loglik", "u_star", "h", "residual"):

@@ -14,7 +14,7 @@ from umaxent import (
     UMaxEntProblem,
     Weights,
 )
-from umaxent.em import _channel_xlogx, evaluate
+from umaxent.em import evaluate
 
 
 def build(values, channel, tilde):
@@ -45,7 +45,7 @@ def problems(draw):
 
 def evaluated(values, channel, tilde, lam):
     problem = build(values, channel, tilde)
-    return evaluate(problem, Weights(lam), clogc=_channel_xlogx(problem.channel))
+    return evaluate(problem, Weights(lam), audit=True)
 
 
 @settings(max_examples=150, deadline=None)
