@@ -10,7 +10,6 @@ classifier bridge builds constraints from black-box classifier outputs.
 from .classifier import (
     ClassifierProfile,
     LabelMap,
-    LabelSpace,
     SoftClassifierBatch,
     classifier_em_solve,
     soft_e_step,

@@ -10,6 +10,7 @@ confusion statistics enter.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,21 +18,6 @@ import numpy as np
 from .em import EmConfig, UMaxEntProblem, e_step, em_solve
 from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
 from .model import Distribution, ElementSpace, EmpiricalObservations, ObservationChannel
-
-
-@dataclass(frozen=True, eq=False)
-class LabelSpace:
-    labels: tuple
-
-    def __init__(self, labels):
-        labels = tuple(labels)
-        if len(labels) < 1 or len(set(labels)) != len(labels):
-            raise ValidationError("labels must be unique and non-empty")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self):
-        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +133,22 @@ class SoftClassifierBatch:
 
     @classmethod
     def from_csv(cls, path, training_prior):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
-        rows = np.asarray(rows)
+        """Read a header line of label names, then one row of floats per sample."""
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            try:
+                with warnings.catch_warnings():
+                    # a file with no rows is reported below, not warned about
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"malformed batch CSV {path}: {' '.join(str(exc).split())}"
+                ) from exc
+        if rows.shape[0] == 0:
+            raise ValidationError(f"batch CSV {path} has no rows")
         if rows.shape[1] != len(header):
-            raise ValidationError("batch CSV rows do not match header width")
+            raise ValidationError(f"batch CSV {path} rows do not match header width")
         return cls(rows, training_prior)
 
     def to_csv(self, path, labels=None):
@@ -170,7 +165,9 @@ class LabelChannel:
     """A channel over labels composed with a label map: Pr(omega | X) = A[omega, d(X)].
 
     Provides the three products EM reads from a channel without forming the
-    |Omega| x |X| matrix; C log C is formed at label level.
+    |Omega| x |X| matrix; C log C is formed at label level. Readers that need
+    single entries (the reductions, problem files) use matrix, the dense
+    expansion, which is built anew on every access.
     """
 
     labels: ObservationChannel  # A: |Omega| x |labels|
@@ -187,6 +184,15 @@ class LabelChannel:
     @property
     def n_elements(self):
         return self.label_map.n_elements
+
+    @property
+    def observation_names(self):
+        return self.labels.observation_names
+
+    @property
+    def matrix(self):
+        """The |Omega| x |X| expansion A D^T, D the label map; not cached."""
+        return self.labels.matrix[:, self.label_map.label_of()]
 
     def matvec(self, v):
         return self.labels.matvec(self.label_map.d.T @ v)

@@ -1,6 +1,6 @@
 """Batch experiment front end.
 
-Subcommands: generate, solve, check, reduce, trace-plot. Exit codes:
+Subcommands: generate, solve, check, reduce. Exit codes:
 0 success/converged, 1 validation error, 2 iteration budget exceeded.
 """
 
@@ -13,10 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import SoftClassifierBatch, classifier_em_solve
-from .em import EmConfig, em_solve, log_likelihood
+from .em import em_solve, log_likelihood
 from .errors import UMaxEntError, ValidationError
 from .harness import SyntheticSpec, dump_json, generate, load_problem
-from .model import Distribution, feature_expectation, log_linear_distribution
+from .model import (
+    Distribution,
+    feature_expectation,
+    log_linear_distribution,
+    observation_marginal,
+)
 from .reductions import (
     has_disjoint_column_supports,
     induced_empirical_x,
@@ -154,8 +159,8 @@ def cmd_check(args):
         "exact_marginal": bool(sidecar.get("exact_marginal", False)),
     }
     if has_disjoint_column_supports(problem.channel):
-        report["standard_reduction"] = json.loads(
-            verify_maxent_reduction(problem, loaded.em_config).to_json()
+        report["standard_reduction"] = dataclasses.asdict(
+            verify_maxent_reduction(problem, loaded.em_config)
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,19 +171,18 @@ def cmd_check(args):
 
 def cmd_reduce(args):
     loaded = load_problem(args.problem)
+    problem, fact = loaded.problem, loaded.factorization
+    disjoint = has_disjoint_column_supports(problem.channel)
     reports = []
-    if has_disjoint_column_supports(loaded.problem.channel):
-        reports.append(verify_maxent_reduction(loaded.problem, loaded.em_config))
-    if loaded.factorization is not None:
-        empirical_y = Distribution(
-            loaded.factorization.y_channel().matrix @ np.asarray(
-                induced_empirical_x(loaded.problem).probs
-            )
-            if has_disjoint_column_supports(loaded.problem.channel)
-            else loaded.problem.empirical.probs
-        )
+    if disjoint:
+        reports.append(verify_maxent_reduction(problem, loaded.em_config))
+    if fact is not None:
+        if disjoint:
+            empirical_y = observation_marginal(induced_empirical_x(problem), fact.y_channel())
+        else:
+            empirical_y = problem.empirical.dist
         reports.append(verify_latent_reduction(
-            loaded.factorization, empirical_y, loaded.problem.features, loaded.em_config
+            fact, empirical_y, problem.features, loaded.em_config
         ))
     if not reports:
         print("no applicable reduction for this problem", file=sys.stderr)
@@ -188,18 +192,6 @@ def cmd_reduce(args):
     payload = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
     (out / f"{Path(args.problem).stem}_reduce.json").write_text(payload)
     print(payload, end="")
-    return EXIT_OK
-
-
-def cmd_trace_plot(args):
-    loaded = load_problem(args.problem)
-    cfg = _em_config(loaded, args)
-    _, trace = em_solve(loaded.problem, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{Path(args.problem).stem}_trace.csv"
-    trace.to_csv(path)
-    print(path)
     return EXIT_OK
 
 
@@ -251,11 +243,6 @@ def build_parser():
     red.add_argument("problem")
     common(red)
     red.set_defaults(func=cmd_reduce)
-
-    tpl = sub.add_parser("trace-plot", help="emit the per-iteration trace CSV")
-    tpl.add_argument("problem")
-    common(tpl)
-    tpl.set_defaults(func=cmd_trace_plot)
 
     return parser
 

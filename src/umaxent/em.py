@@ -35,6 +35,9 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
+# init_mode "random" draws each initial weight uniformly from +-INIT_SCALE.
+INIT_SCALE = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class UMaxEntProblem:
@@ -63,9 +66,7 @@ class EmConfig:
     inner: SolverConfig = field(default_factory=SolverConfig)
     init_mode: str = "zero"  # zero | random | prior
     seed: int = 0
-    init_scale: float = 0.1
     prior: Distribution = None
-    restarts: int = 1
     zero_marginal: str = "error"  # error | skip
 
     def __post_init__(self):
@@ -256,11 +257,11 @@ def constraint_residual(problem, weights, zero_marginal="error"):
     return evaluate(problem, weights, zero_marginal).residual
 
 
-def _initial_weights(problem, config, seed=None):
+def _initial_weights(problem, config):
     k = problem.features.n_features
     if config.init_mode == "random":
-        rng = np.random.default_rng(config.seed if seed is None else seed)
-        return Weights(rng.uniform(-config.init_scale, config.init_scale, size=k))
+        rng = np.random.default_rng(config.seed)
+        return Weights(rng.uniform(-INIT_SCALE, INIT_SCALE, size=k))
     return Weights(np.zeros(k))
 
 
@@ -274,16 +275,6 @@ def em_solve(problem, config=None):
     Returns (Weights, EmTrace).
     """
     config = config or EmConfig()
-    if config.restarts > 1:
-        best = None
-        for i in range(config.restarts):
-            cfg = EmConfig(**{**config.__dict__, "restarts": 1,
-                              "init_mode": "random", "seed": config.seed + i})
-            w, tr = em_solve(problem, cfg)
-            if best is None or tr.rows[-1].loglik > best[1].rows[-1].loglik:
-                best = (w, tr)
-        return best
-
     lam = _initial_weights(problem, config)
     trace = EmTrace()
 

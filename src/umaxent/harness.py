@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassifierProfile, LabelMap, SoftClassifierBatch
+from .classifier import ClassifierProfile, LabelMap
 from .dual import SolverConfig
 from .em import EmConfig, UMaxEntProblem
 from .errors import UMaxEntError, ValidationError

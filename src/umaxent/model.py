@@ -43,9 +43,6 @@ class ElementSpace:
     def size(self):
         return len(self.elements)
 
-    def index(self, element):
-        return self.elements.index(element)
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
@@ -253,7 +250,7 @@ def observation_marginal(model, channel):
     """Pr(omega) = sum_X Pr(omega | X) Pr(X)."""
     if len(model) != channel.n_elements:
         raise DimensionMismatch("elements", channel.n_elements, len(model))
-    return Distribution(channel.matrix @ model.probs)
+    return Distribution(channel.matvec(model.probs))
 
 
 def feature_expectation(dist, features):

@@ -8,18 +8,17 @@ pointwise identity on E-step outputs.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dual import SolverConfig, TargetExpectations, minimize_dual
-from .em import UMaxEntProblem, e_step, em_solve
-from .errors import PreconditionViolated, ValidationError, ZeroMarginal
+from .em import EmConfig, UMaxEntProblem, e_step, em_solve
+from .errors import DimensionMismatch, PreconditionViolated, ValidationError, ZeroMarginal
 from .model import (
     Distribution,
     EmpiricalObservations,
     ElementSpace,
-    FeatureTable,
     ObservationChannel,
     Weights,
     feature_expectation,
@@ -39,10 +38,17 @@ class DeterminismReport:
         return self.point_mass_posteriors
 
 
+def _at_most_one_per_row(rows, n_observations):
+    """True when no observation index occurs twice among the nonzero entries."""
+    return bool(np.all(np.bincount(rows, minlength=n_observations) <= 1))
+
+
 def has_disjoint_column_supports(channel):
     """True when every observation is supported by at most one element."""
-    support = channel.matrix > 0
-    return bool(np.all(support.sum(axis=1) <= 1))
+    # channel entries are nonnegative, so nonzero means positive
+    c = channel.matrix
+    rows, _ = np.nonzero(c)
+    return _at_most_one_per_row(rows, c.shape[0])
 
 
 def is_deterministic_channel(channel, model, atol=1e-12):
@@ -52,17 +58,19 @@ def is_deterministic_channel(channel, model, atol=1e-12):
     (entries within atol of 0 or 1); observations with zero marginal are
     vacuous. Also reports whether the channel's column supports are
     disjoint, in which case the property holds for every model.
+    Only the nonzero channel entries are visited: the others give
+    posterior 0.
     """
-    marg = channel.matrix @ model.probs
-    point_mass = True
-    for w in range(channel.n_observations):
-        if marg[w] <= 0:
-            continue
-        post = channel.matrix[w] * model.probs / marg[w]
-        if not np.all((post < atol) | (np.abs(post - 1.0) < atol)):
-            point_mass = False
-            break
-    return DeterminismReport(point_mass, has_disjoint_column_supports(channel))
+    c = channel.matrix
+    p = model.probs
+    marg = c @ p
+    rows, cols = np.nonzero(c)
+    disjoint = _at_most_one_per_row(rows, c.shape[0])
+    live = marg[rows] > 0
+    rows, cols = rows[live], cols[live]
+    post = c[rows, cols] * p[cols] / marg[rows]
+    point_mass = bool(np.all((post < atol) | (np.abs(post - 1.0) < atol)))
+    return DeterminismReport(point_mass, disjoint)
 
 
 def solve_standard_maxent(empirical_x, features, config=None):
@@ -76,19 +84,21 @@ def lagrangian_extra_term(problem, weights):
 
     This is the term the log-linear approximation discards; under a
     deterministic channel it vanishes identically. Observations with zero
-    marginal under the model are skipped.
+    marginal under the model are skipped, and so are zero channel entries,
+    whose term is zero. The nonzero entries' terms are summed per element
+    in observation order.
     """
-    model = log_linear_distribution(weights, problem.features)
-    marg = problem.channel.matrix @ model.probs
-    tilde = problem.empirical.probs
-    n = problem.features.n_elements
-    out = np.zeros(n)
-    ch = problem.channel.matrix
-    for w in np.flatnonzero(marg > 0):
-        # (Pr(w|X) Pr(w) - Pr(w|X)^2 Pr(X)) / Pr(w)^2, weighted by Pr~(w)
-        frac = (ch[w] * marg[w] - ch[w] ** 2 * model.probs) / marg[w] ** 2
-        out += tilde[w] * frac * (weights.lam @ problem.features.values)
-    return out
+    p = log_linear_distribution(weights, problem.features).probs
+    c = problem.channel.matrix
+    marg = c @ p
+    rows, cols = np.nonzero(c)
+    live = marg[rows] > 0
+    rows, cols = rows[live], cols[live]
+    v, m = c[rows, cols], marg[rows]
+    # (Pr(w|X) Pr(w) - Pr(w|X)^2 Pr(X)) / Pr(w)^2, weighted by Pr~(w)
+    frac = (v * m - v ** 2 * p[cols]) / m ** 2
+    term = problem.empirical.probs[rows] * frac * (weights.lam @ problem.features.values)[cols]
+    return np.bincount(cols, weights=term, minlength=c.shape[1])
 
 
 @dataclass
@@ -101,33 +111,22 @@ class ReductionReport:
     iterations: int = None
 
     def to_json(self):
-        return json.dumps(
-            {
-                "reduction": self.reduction,
-                "tv_distance": self.tv_distance,
-                "residual": self.residual,
-                "extra_term_norm": self.extra_term_norm,
-                "identity_gap": self.identity_gap,
-                "iterations": self.iterations,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def induced_empirical_x(problem):
     """Merge observation mass onto the unique supporting element per observation."""
-    if not has_disjoint_column_supports(problem.channel):
+    c = problem.channel.matrix
+    rows, cols = np.nonzero(c)
+    if not _at_most_one_per_row(rows, c.shape[0]):
         raise PreconditionViolated("channel columns do not have disjoint supports")
-    n = problem.channel.n_elements
-    mass = np.zeros(n)
-    for w, p in enumerate(problem.empirical.probs):
-        support = np.flatnonzero(problem.channel.matrix[w] > 0)
-        if support.size == 0:
-            if p > 0:
-                raise ZeroMarginal(w)
-            continue
-        mass[support[0]] += p
-    return Distribution(mass)
+    tilde = problem.empirical.probs
+    unsupported = np.ones(c.shape[0], dtype=bool)
+    unsupported[rows] = False
+    lost = np.flatnonzero(unsupported & (tilde > 0))
+    if lost.size:
+        raise ZeroMarginal(int(lost[0]))
+    return Distribution(np.bincount(cols, weights=tilde[rows], minlength=c.shape[1]))
 
 
 def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
@@ -136,8 +135,6 @@ def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
     Reports the total-variation distance between the two solutions and the
     sup-norm of the Lagrangian's extra gradient term at random weights.
     """
-    from .em import EmConfig
-
     config = config or EmConfig()
     empirical_x = induced_empirical_x(problem)
 
@@ -179,29 +176,28 @@ class LatentFactorization:
     def __init__(self, y_space, z_space, embed, n_elements):
         y_space, z_space = tuple(y_space), tuple(z_space)
         embed = dict(embed)
-        targets = list(embed.values())
-        if len(set(targets)) != len(targets):
+        pairs = np.array(list(embed), dtype=int).reshape(-1, 2)
+        targets = np.fromiter(embed.values(), dtype=int, count=len(embed))
+        if np.unique(targets).size != targets.size:
             raise ValidationError("factorization embed must be injective")
-        if sorted(targets) != list(range(n_elements)):
+        if targets.size != n_elements or np.any((targets < 0) | (targets >= n_elements)):
             raise ValidationError("factorization must cover every element exactly once")
-        for (yi, zi) in embed:
-            if not (0 <= yi < len(y_space) and 0 <= zi < len(z_space)):
-                raise ValidationError(f"embed key ({yi}, {zi}) out of range")
+        outside = np.any((pairs < 0) | (pairs >= (len(y_space), len(z_space))), axis=1)
+        if np.any(outside):
+            yi, zi = pairs[np.flatnonzero(outside)[0]]
+            raise ValidationError(f"embed key ({yi}, {zi}) out of range")
+        y_of = np.empty(n_elements, dtype=int)
+        y_of[targets] = pairs[:, 0]
+        y_of.setflags(write=False)
         object.__setattr__(self, "y_space", y_space)
         object.__setattr__(self, "z_space", z_space)
         object.__setattr__(self, "embed", embed)
         object.__setattr__(self, "n_elements", n_elements)
-
-    def completions(self, y_idx):
-        """Valid hidden completions Z_Y for a given observed part."""
-        return [zi for (yi, zi) in self.embed if yi == y_idx]
+        object.__setattr__(self, "_y_of", y_of)
 
     def y_of_element(self):
-        """Element index -> Y index lookup."""
-        out = np.empty(self.n_elements, dtype=int)
-        for (yi, _zi), x in self.embed.items():
-            out[x] = yi
-        return out
+        """Element index -> Y index lookup (read-only)."""
+        return self._y_of
 
     def y_channel(self):
         """Channel with Omega = Y: Pr(omega | X) = 1 iff X's Y part is omega."""
@@ -214,21 +210,22 @@ def latent_constraint_rhs(fact, empirical_y, model, features):
     """Right-hand side of the latent MaxEnt constraints under the given model.
 
     rhs_k = sum_Y Pr~(Y) sum_{Z in Z_Y} Pr(Z | Y) phi_k(X), with
-    Pr(Z | Y) the model's conditional over completions of Y.
+    Pr(Z | Y) the model's conditional over completions of Y: each element
+    carries Pr~(Y) Pr(X) / Pr(Y) for its own Y.
     """
     if features.n_elements != fact.n_elements:
         raise ValidationError("feature table does not match factorization size")
-    rhs = np.zeros(features.n_features)
-    for yi, p_y in enumerate(empirical_y.probs):
-        xs = [fact.embed[(yi, zi)] for zi in fact.completions(yi)]
-        mass = model.probs[xs].sum()
-        if mass <= 0:
-            if p_y > 0:
-                raise ZeroMarginal(yi)
-            continue
-        cond = model.probs[xs] / mass
-        rhs += p_y * (features.values[:, xs] @ cond)
-    return rhs
+    if len(empirical_y) != len(fact.y_space):
+        raise DimensionMismatch("Y values", len(fact.y_space), len(empirical_y))
+    y = fact.y_of_element()
+    p = model.probs
+    mass = np.bincount(y, weights=p, minlength=len(empirical_y))
+    lost = np.flatnonzero((mass <= 0) & (empirical_y.probs > 0))
+    if lost.size:
+        raise ZeroMarginal(int(lost[0]))
+    mass = mass[y]
+    cond = np.divide(p, mass, out=np.zeros_like(p), where=mass > 0)
+    return features.values @ (empirical_y.probs[y] * cond)
 
 
 def verify_latent_reduction(fact, empirical_y, features, config=None,
@@ -239,8 +236,6 @@ def verify_latent_reduction(fact, empirical_y, features, config=None,
     latent_constraint_rhs at random log-linear models, then runs EM and
     reports the converged residual.
     """
-    from .em import EmConfig
-
     config = config or EmConfig()
     channel = fact.y_channel()
     space = ElementSpace(range(fact.n_elements))

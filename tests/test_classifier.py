@@ -21,13 +21,21 @@ from umaxent import (
     classifier_em_solve,
     e_step,
     feature_expectation,
+    is_deterministic_channel,
     latent_constraint_rhs,
     log_linear_distribution,
+    observation_marginal,
+    problem_to_dict,
     soft_e_step,
     solve_standard_maxent,
 )
 from umaxent.classifier import LabelChannel, _soft_problem
 from umaxent.em import evaluate
+from umaxent.reductions import (
+    has_disjoint_column_supports,
+    induced_empirical_x,
+    lagrangian_extra_term,
+)
 
 
 def hard_label_e_step(emp, profile, lm, lam, feat):
@@ -305,6 +313,7 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
     factored = _soft_problem(feat, batch, lm, apply_correction)
     labels = factored.channel.labels.matrix
     assert np.allclose(labels.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(factored.channel.matrix, labels @ lm.d.T)
     dense = UMaxEntProblem(factored.space, feat, ObservationChannel(labels @ lm.d.T),
                            factored.empirical)
     for _ in range(10):
@@ -314,6 +323,41 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
         assert np.max(np.abs(a.phi_hat - b.phi_hat)) <= 1e-13
         for name in ("loglik", "u_star", "h", "residual"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-13), name
+        # readers outside EM see the factored channel as its dense expansion
+        model = log_linear_distribution(lam, feat)
+        assert np.max(np.abs(observation_marginal(model, factored.channel).probs
+                             - observation_marginal(model, dense.channel).probs)) <= 1e-15
+        assert is_deterministic_channel(factored.channel, model) == \
+            is_deterministic_channel(dense.channel, model)
+        assert np.max(np.abs(lagrangian_extra_term(factored, lam)
+                             - lagrangian_extra_term(dense, lam))) <= 1e-13
+    doc, dense_doc = problem_to_dict(factored), problem_to_dict(dense)
+    assert np.max(np.abs(np.subtract(doc["channel"].pop("matrix"),
+                                     dense_doc["channel"].pop("matrix")))) <= 1e-15
+    assert doc == dense_doc
+
+
+def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
+    # 6 observations over 3 labels, each seen from one label; one element per label
+    rng = np.random.default_rng(11)
+    owner = np.array([0, 1, 2, 2, 0, 1])
+    scores = np.zeros((6, 3))
+    scores[np.arange(6), owner] = rng.uniform(0.1, 1.0, size=6)
+    labels = ObservationChannel(scores / scores.sum(axis=0))
+    lm = LabelMap.from_assignment([2, 0, 1], 3)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
+    emp = EmpiricalObservations(Distribution(rng.dirichlet(np.ones(6))))
+    factored = UMaxEntProblem(ElementSpace(range(3)), feat, LabelChannel(labels, lm), emp)
+    dense = UMaxEntProblem(ElementSpace(range(3)), feat,
+                           ObservationChannel(labels.matrix @ lm.d.T), emp)
+    assert has_disjoint_column_supports(factored.channel)
+    assert np.array_equal(induced_empirical_x(factored).probs, induced_empirical_x(dense).probs)
+    lam = Weights([0.4, -0.7])
+    model = log_linear_distribution(lam, feat)
+    report = is_deterministic_channel(factored.channel, model)
+    assert report == is_deterministic_channel(dense.channel, model)
+    assert report.point_mass_posteriors and report.model_independent
+    assert np.max(np.abs(lagrangian_extra_term(factored, lam))) <= 1e-15
 
 
 def test_label_channel_checks_label_count():

@@ -287,13 +287,6 @@ def test_em_prior_init_runs():
     assert constraint_residual(problem, lam) <= 1e-5
 
 
-def test_em_multi_restart_returns_best():
-    rng = np.random.default_rng(22)
-    problem = easy_problem(rng)
-    lam, trace = em_solve(problem, EmConfig(restarts=3, seed=1))
-    assert trace.converged
-
-
 def test_constraint_residual_uninformative_channel_zero():
     problem = make_problem([[1.0, 0.0]], np.full((3, 2), 1 / 3), [0.2, 0.5, 0.3])
     assert constraint_residual(problem, Weights([0.9])) == pytest.approx(0.0, abs=1e-14)
@@ -407,3 +400,37 @@ def test_trace_rows_match_public_definitions():
         if prev is not None:
             assert np.max(np.abs(row.phi_hat - e_step(problem, prev).phi_hat)) <= 1e-12
         prev = lam
+
+
+class ProductsOnlyChannel:
+    """A channel that exposes only what EM may read: its sizes and three products."""
+
+    def __init__(self, channel):
+        self.n_observations = channel.n_observations
+        self.n_elements = channel.n_elements
+        self.matvec = channel.matvec
+        self.rmatvec = channel.rmatvec
+        self.xlogx_rmatvec = channel.xlogx_rmatvec
+
+
+@pytest.mark.parametrize("config", [
+    EmConfig(max_em_iter=40),
+    EmConfig(max_em_iter=40, init_mode="random", seed=3, zero_marginal="skip"),
+], ids=["zero-init", "random-init-skip"])
+def test_em_reads_a_channel_only_through_its_products(config):
+    rng = np.random.default_rng(28)
+    dense = random_problem(rng, n_max=6, m_max=9)
+    matrix = np.array(dense.channel.matrix)
+    matrix[rng.random(matrix.shape) < 0.3] = 0.0
+    matrix[0, matrix.sum(axis=0) == 0] = 1.0
+    dense = make_problem(dense.features.values, matrix / matrix.sum(axis=0),
+                         dense.empirical.probs)
+    stub = UMaxEntProblem(dense.space, dense.features, ProductsOnlyChannel(dense.channel),
+                          dense.empirical)
+    assert not hasattr(stub.channel, "matrix")
+    lam_dense, trace_dense = em_solve(dense, config)
+    lam_stub, trace_stub = em_solve(stub, config)
+    assert len(trace_dense) > 3
+    assert trace_stub.to_csv_string() == trace_dense.to_csv_string()
+    assert np.array_equal(lam_stub.lam, lam_dense.lam)
+    assert trace_stub.termination == trace_dense.termination

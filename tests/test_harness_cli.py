@@ -105,7 +105,11 @@ def test_cli_solve_exact_marginal_residual(tmp_path):
     result = json.loads((tmp_path / "prob_result.json").read_text())
     assert result["converged"]
     assert result["residual"] <= 1e-5
-    assert (tmp_path / "prob_trace.csv").exists()
+    lines = (tmp_path / "prob_trace.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[:6] == ["iter", "loglik", "Q", "H", "U_star", "residual"]
+    assert header[6:] == ["lambda_0", "lambda_1"]
+    assert len(lines) == result["iterations"] + 2
 
 
 def test_cli_solve_identity_channel_matches_standard_mode(tmp_path):
@@ -138,8 +142,11 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d["features"]["values"][0].__setitem__(0, "x"),
     lambda d: d["channel"]["matrix"][0].pop(),
     lambda d: d.update(elements=[[i] for i in range(len(d["elements"]))]),
+    lambda d: d.update(em={"restarts": 3}),
+    lambda d: d.update(em={"init_scale": 0.5}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
-        "string-feature", "ragged-channel", "list-element-ids"])
+        "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
+        "removed-init-scale-key"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -295,21 +302,8 @@ def test_cli_reduce_no_applicable_reduction(tmp_path, capsys):
     assert "no applicable reduction" in capsys.readouterr().err
 
 
-def test_cli_trace_plot_schema(tmp_path):
-    problem, _ = write_problem(tmp_path, epsilon=0.2, seed=21)
-    code = main(["trace-plot", str(problem), "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    lines = (tmp_path / "prob_trace.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:6] == ["iter", "loglik", "Q", "H", "U_star", "residual"]
-    assert header[6:] == ["lambda_0", "lambda_1"]
-    assert len(lines) >= 2
-
-
-def test_cli_classifier_mode_with_batch(tmp_path):
-    rng = np.random.default_rng(22)
-    # 2 elements = 2 labels; generation channel rows Pr(xi | X)
-    doc = {
+def batch_problem_doc():
+    return {
         "elements": ["x0", "x1"],
         "features": {"names": ["f0"], "values": [[1.0, 0.0]]},
         "channel": {"observations": ["xi0", "xi1"],
@@ -323,8 +317,12 @@ def test_cli_classifier_mode_with_batch(tmp_path):
         },
         "seed": 0,
     }
+
+
+def test_cli_classifier_mode_with_batch(tmp_path):
+    rng = np.random.default_rng(22)
     problem = tmp_path / "cls.json"
-    dump_json(doc, problem)
+    dump_json(batch_problem_doc(), problem)
     rows = rng.dirichlet(np.ones(2), size=50)
     lines = ["xi0,xi1"] + [",".join(repr(float(v)) for v in row) for row in rows]
     (tmp_path / "batch.csv").write_text("\n".join(lines) + "\n")
@@ -340,6 +338,24 @@ def test_cli_classifier_mode_with_batch(tmp_path):
     code = main(["solve", str(problem), "--mode", "classifier",
                  "--ablate-correction", "--out", str(tmp_path / "abl")])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("text, message", [
+    ("xi0,xi1\n0.5,0.5\n0.25,x\n", "malformed batch CSV"),
+    ("xi0,xi1\n", "has no rows"),
+    ("xi0,xi1\n0.5,0.5\n0.2,0.3,0.5\n", "malformed batch CSV"),
+], ids=["non-numeric-cell", "header-only", "ragged-row"])
+def test_cli_classifier_malformed_batch_csv_is_validation_error(tmp_path, capsys, text,
+                                                                 message):
+    problem = tmp_path / "cls.json"
+    dump_json(batch_problem_doc(), problem)
+    (tmp_path / "batch.csv").write_text(text)
+    code = main(["solve", str(problem), "--mode", "classifier", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "batch.csv" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_cli_classifier_mode_requires_block(tmp_path, capsys):

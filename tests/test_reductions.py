@@ -13,6 +13,7 @@ from umaxent import (
     UMaxEntProblem,
     ValidationError,
     Weights,
+    ZeroMarginal,
     e_step,
     is_deterministic_channel,
     latent_constraint_rhs,
@@ -21,7 +22,11 @@ from umaxent import (
     verify_latent_reduction,
     verify_maxent_reduction,
 )
-from umaxent.reductions import lagrangian_extra_term
+from umaxent.reductions import (
+    has_disjoint_column_supports,
+    induced_empirical_x,
+    lagrangian_extra_term,
+)
 
 
 def make_problem(values, channel_matrix, empirical):
@@ -218,3 +223,164 @@ def test_reduction_report_json():
     assert doc["reduction"] == "standard"
     assert set(doc) == {"reduction", "tv_distance", "residual",
                         "extra_term_norm", "identity_gap", "iterations"}
+
+
+# Per-observation and per-Y loop references for the array forms above.
+
+def loop_is_deterministic(matrix, probs, atol=1e-12):
+    marg = matrix @ probs
+    point_mass = True
+    for w in range(matrix.shape[0]):
+        if marg[w] <= 0:
+            continue
+        post = matrix[w] * probs / marg[w]
+        if not np.all((post < atol) | (np.abs(post - 1.0) < atol)):
+            point_mass = False
+            break
+    disjoint = all(np.count_nonzero(matrix[w] > 0) <= 1 for w in range(matrix.shape[0]))
+    return point_mass, disjoint
+
+
+def loop_extra_term(problem, weights):
+    probs = log_linear_distribution(weights, problem.features).probs
+    ch = problem.channel.matrix
+    marg = ch @ probs
+    tilde = problem.empirical.probs
+    out = np.zeros(problem.features.n_elements)
+    for w in np.flatnonzero(marg > 0):
+        frac = (ch[w] * marg[w] - ch[w] ** 2 * probs) / marg[w] ** 2
+        out += tilde[w] * frac * (weights.lam @ problem.features.values)
+    return out
+
+
+def loop_induced_mass(problem):
+    mass = np.zeros(problem.channel.n_elements)
+    for w, p in enumerate(problem.empirical.probs):
+        support = np.flatnonzero(problem.channel.matrix[w] > 0)
+        if support.size == 0:
+            if p > 0:
+                raise ZeroMarginal(w)
+            continue
+        mass[support[0]] += p
+    return mass
+
+
+def loop_latent_rhs(fact, empirical_y, model, features):
+    rhs = np.zeros(features.n_features)
+    for yi, p_y in enumerate(empirical_y.probs):
+        xs = [x for (y, _z), x in fact.embed.items() if y == yi]
+        mass = model.probs[xs].sum()
+        if mass <= 0:
+            if p_y > 0:
+                raise ZeroMarginal(yi)
+            continue
+        rhs += p_y * (features.values[:, xs] @ (model.probs[xs] / mass))
+    return rhs
+
+
+def random_channel(rng, n, m, disjoint):
+    """m x n channel with zero entries, zero-support rows and zero-mass observations.
+
+    disjoint: every observation is supported by at most one element.
+    """
+    if disjoint:
+        owner = np.concatenate([rng.permutation(n), rng.integers(0, n, size=m - n)])
+        matrix = np.zeros((m, n))
+        matrix[np.arange(m), owner] = rng.uniform(0.1, 1.0, size=m)
+        matrix[n:][rng.random(m - n) < 0.3] = 0.0  # observations no element produces
+    else:
+        matrix = rng.uniform(0.0, 1.0, size=(m, n))
+        matrix[rng.random((m, n)) < 0.4] = 0.0
+        matrix[0] = 0.0  # an observation no element produces
+        matrix[1] = rng.uniform(0.1, 1.0, size=n)  # one seen from every element
+    matrix = matrix[rng.permutation(m)]
+    return matrix / matrix.sum(axis=0)
+
+
+def random_reduction_problem(rng, disjoint):
+    n = int(rng.integers(2, 8))
+    m = n + int(rng.integers(1, 6))
+    matrix = random_channel(rng, n, m, disjoint)
+    tilde = rng.dirichlet(np.ones(m))
+    tilde[rng.random(m) < 0.3] = 0.0
+    tilde[matrix.sum(axis=1) == 0] = 0.0
+    tilde[np.argmax(matrix.sum(axis=1))] += 0.1
+    values = rng.uniform(-2, 2, size=(int(rng.integers(1, 4)), n))
+    return make_problem(values, matrix, tilde / tilde.sum())
+
+
+@pytest.mark.parametrize("disjoint", [True, False])
+def test_reductions_match_loop_references(disjoint):
+    rng = np.random.default_rng(20 + disjoint)
+    for _ in range(30):
+        problem = random_reduction_problem(rng, disjoint)
+        ch, feat = problem.channel, problem.features
+        for _ in range(5):
+            lam = Weights(rng.uniform(-3, 3, size=feat.n_features))
+            model = log_linear_distribution(lam, feat)
+            report = is_deterministic_channel(ch, model)
+            assert (report.point_mass_posteriors, report.model_independent) == \
+                loop_is_deterministic(ch.matrix, model.probs)
+            assert np.max(np.abs(lagrangian_extra_term(problem, lam)
+                                 - loop_extra_term(problem, lam))) <= 1e-12
+        point = Distribution.point_mass(feat.n_elements, int(rng.integers(feat.n_elements)))
+        report = is_deterministic_channel(ch, point)
+        assert (report.point_mass_posteriors, report.model_independent) == \
+            loop_is_deterministic(ch.matrix, point.probs)
+        assert has_disjoint_column_supports(ch) == disjoint
+        if disjoint:
+            mass = induced_empirical_x(problem).probs
+            assert np.array_equal(mass, Distribution(loop_induced_mass(problem)).probs)
+        else:
+            with pytest.raises(PreconditionViolated):
+                induced_empirical_x(problem)
+
+
+def test_induced_empirical_x_unsupported_observation_with_mass():
+    # observation 1 has mass but no element produces it
+    problem = make_problem([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                           [0.5, 0.2, 0.3])
+    with pytest.raises(ZeroMarginal) as exc:
+        loop_induced_mass(problem)
+    assert exc.value.index == 1
+    with pytest.raises(ZeroMarginal) as exc:
+        induced_empirical_x(problem)
+    assert exc.value.index == 1
+
+
+def shuffled_factorization(rng, n_y, n_z):
+    pairs = [(y, z) for y in range(n_y) for z in range(n_z) if rng.random() < 0.7 or z == 0]
+    order = rng.permutation(len(pairs))
+    embed = {pairs[i]: int(x) for x, i in enumerate(order)}  # insertion order shuffled too
+    return LatentFactorization(range(n_y), range(n_z), embed, len(pairs))
+
+
+def test_latent_rhs_matches_per_y_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        fact = shuffled_factorization(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+        feat = FeatureTable(rng.uniform(-2, 2, size=(3, fact.n_elements)))
+        emp = rng.dirichlet(np.ones(len(fact.y_space)))
+        emp[rng.random(emp.size) < 0.3] = 0.0
+        emp[0] += 0.1
+        emp = Distribution(emp / emp.sum())
+        model = Distribution(rng.dirichlet(np.ones(fact.n_elements)))
+        assert np.max(np.abs(latent_constraint_rhs(fact, emp, model, feat)
+                             - loop_latent_rhs(fact, emp, model, feat))) <= 1e-12
+
+
+def test_latent_rhs_zero_mass_y():
+    rng = np.random.default_rng(24)
+    fact = shuffled_factorization(rng, 3, 3)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, fact.n_elements)))
+    y = fact.y_of_element()
+    probs = rng.dirichlet(np.ones(fact.n_elements))
+    probs[y == 1] = 0.0
+    model = Distribution(probs / probs.sum())
+    # Y = 1 has no model mass: an error when observed, vacuous when not
+    with pytest.raises(ZeroMarginal) as exc:
+        latent_constraint_rhs(fact, Distribution([0.3, 0.3, 0.4]), model, feat)
+    assert exc.value.index == 1
+    emp = Distribution([0.6, 0.0, 0.4])
+    assert np.max(np.abs(latent_constraint_rhs(fact, emp, model, feat)
+                         - loop_latent_rhs(fact, emp, model, feat))) <= 1e-12
