@@ -1,7 +1,8 @@
 """Batch experiment front end.
 
 Subcommands: generate, solve, check, reduce. Exit codes:
-0 success/converged, 1 validation error, 2 iteration budget exceeded.
+0 success/converged, 1 validation error, 2 not converged (iteration budget
+exceeded or EM stalled).
 """
 
 import argparse
@@ -204,7 +205,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None, help="EM stops converged once "
+                       "the residual, the log-likelihood gradient, is at most TOL (1e-6)")
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--init", choices=["zero", "random", "prior"], default=None)
         p.add_argument("--out", default=".")
@@ -251,10 +253,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UMaxEntError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UMaxEntError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTarget
-from .model import Weights, feature_expectation, log_linear_distribution, log_partition
+from .model import Weights, log_linear
 
 # Feasibility slack for the per-coordinate bounds check.
 _FEASIBILITY_EPS = 1e-9
@@ -71,17 +71,24 @@ def _check(target, features):
         raise DimensionMismatch("features", features.n_features, len(target))
 
 
+def _evaluate(lam, target, features):
+    """(dual value, gradient E[phi] - phi_hat, Hessian Cov(phi)) from one model evaluation."""
+    p, _, log_z = log_linear(lam, features)
+    mu = features.values @ p
+    centered = features.values - mu[:, None]
+    return log_z - lam @ target.phi_hat, mu - target.phi_hat, (centered * p) @ centered.T
+
+
 def dual_value(weights, target, features):
     """log Z(lambda) - sum_k lambda_k phi_hat_k."""
     _check(target, features)
-    return log_partition(weights, features) - weights.lam @ target.phi_hat
+    return _evaluate(weights.lam, target, features)[0]
 
 
 def dual_gradient(weights, target, features):
     """Gradient of the dual: E_lambda[phi] - phi_hat."""
     _check(target, features)
-    model = log_linear_distribution(weights, features)
-    return feature_expectation(model, features) - target.phi_hat
+    return _evaluate(weights.lam, target, features)[1]
 
 
 def _check_feasible(target, features):
@@ -90,14 +97,6 @@ def _check_feasible(target, features):
     for k, v in enumerate(target.phi_hat):
         if v < lo[k] - _FEASIBILITY_EPS or v > hi[k] + _FEASIBILITY_EPS:
             raise InfeasibleTarget(k, v, lo[k], hi[k])
-
-
-def _gradient_and_hessian(lam, target, features):
-    """Dual gradient E[phi] - phi_hat and Hessian Cov(phi), from one model evaluation."""
-    p = log_linear_distribution(Weights(lam), features).probs
-    mu = features.values @ p
-    centered = features.values - mu[:, None]
-    return mu - target.phi_hat, (centered * p) @ centered.T
 
 
 def _step(lam, f, grad, direction, noise, target, features):
@@ -111,16 +110,16 @@ def _step(lam, f, grad, direction, noise, target, features):
     slope = grad @ direction
     if -slope <= noise:
         trial = lam + direction
-        grad_trial, hess_trial = _gradient_and_hessian(trial, target, features)
-        if np.abs(grad_trial).max() >= np.abs(grad).max():
+        moved = _evaluate(trial, target, features)
+        if np.abs(moved[1]).max() >= np.abs(grad).max():
             return None
-        return trial, dual_value(Weights(trial), target, features), grad_trial, hess_trial
+        return (trial, *moved)
     step = 1.0
     while step >= _MIN_STEP:
         trial = lam + step * direction
-        f_trial = dual_value(Weights(trial), target, features)
-        if f_trial <= f + _SUFFICIENT_DECREASE * step * slope:
-            return (trial, f_trial, *_gradient_and_hessian(trial, target, features))
+        moved = _evaluate(trial, target, features)
+        if moved[0] <= f + _SUFFICIENT_DECREASE * step * slope:
+            return (trial, *moved)
         step *= _BACKTRACK
     return None
 
@@ -148,9 +147,8 @@ def minimize_dual(target, features, init=None, config=None):
     _check_feasible(target, features)
 
     lam = np.zeros(features.n_features) if init is None else np.array(init.lam, dtype=float)
-    f = dual_value(Weights(lam), target, features)
+    f, grad, hess = _evaluate(lam, target, features)
     best_lam, best_f = lam, f
-    grad, hess = _gradient_and_hessian(lam, target, features)
     size = np.abs(target.phi_hat)
 
     iterations = 0

@@ -17,7 +17,7 @@ one.
 import csv
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,14 +29,16 @@ from .model import (
     FeatureTable,
     ObservationChannel,
     Weights,
+    log_linear,
     log_partition,
-    scores,
 )
 
 logger = logging.getLogger(__name__)
 
 # init_mode "random" draws each initial weight uniformly from +-INIT_SCALE.
 INIT_SCALE = 0.1
+# Inexact M-step: each one runs to min(inner.grad_tol, GRAD_TOL_SHARE * residual).
+GRAD_TOL_SHARE = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +62,10 @@ class UMaxEntProblem:
 
 @dataclass
 class EmConfig:
+    """EM settings. lambda_tol bounds the residual |F p - phi_hat(lambda)|_inf,
+    the log-likelihood gradient, at which em_solve stops converged."""
+
     lambda_tol: float = 1e-6
-    likelihood_tol: float = 1e-10
     max_em_iter: int = 500
     inner: SolverConfig = field(default_factory=SolverConfig)
     init_mode: str = "zero"  # zero | random | prior
@@ -70,8 +74,8 @@ class EmConfig:
     zero_marginal: str = "error"  # error | skip
 
     def __post_init__(self):
-        if self.lambda_tol <= 0 or self.likelihood_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.lambda_tol <= 0:
+            raise ValueError("lambda_tol must be positive")
         if self.init_mode not in ("zero", "random", "prior"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.init_mode == "prior" and self.prior is None:
@@ -183,17 +187,8 @@ def evaluate(problem, weights, zero_marginal="error", audit=False):
 
     With audit the U* and H terms are computed too (one more product, with
     C log C); without it u_star and h are None.
-    log p is taken from the scores, so elements whose probability underflows
-    keep a finite log.
     """
-    s = scores(weights, problem.features)
-    shift = s.max()
-    s = s - shift
-    e = np.exp(s)
-    z = e.sum()
-    p = e / z
-    log_p = s - np.log(z)
-    log_z = float(shift + np.log(z))
+    p, log_p, log_z = log_linear(weights.lam, problem.features)
     marg, active, w, r, mix = _reweight(problem, p, zero_marginal)
 
     values = problem.features.values
@@ -272,7 +267,12 @@ def em_solve(problem, config=None):
     one evaluation at the new weights, which gives the next targets and the
     trace row's log-likelihood, audit terms and residual. Under init_mode
     "prior" the first targets are the E-step under the prior.
-    Returns (Weights, EmTrace).
+
+    The one stopping test, residual <= lambda_tol, is checked at every
+    accepted lambda, row 0 included; it ends the run converged with
+    termination "residual". An M-step that returns its input unchanged ends
+    it unconverged with "stalled" and no new row; the iteration budget ends
+    it with "max_em_iter". Returns (Weights, EmTrace).
     """
     config = config or EmConfig()
     lam = _initial_weights(problem, config)
@@ -287,9 +287,17 @@ def em_solve(problem, config=None):
         _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, ev.residual, 0,
     ))
 
-    for t in range(1, config.max_em_iter + 1):
-        result = minimize_dual(target, problem.features, init=lam, config=config.inner)
+    t = 0
+    while ev.residual > config.lambda_tol and t < config.max_em_iter:
+        t += 1
+        inner = replace(
+            config.inner, grad_tol=min(config.inner.grad_tol, GRAD_TOL_SHARE * ev.residual))
+        result = minimize_dual(target, problem.features, init=lam, config=inner)
         lam_new = result.weights
+        if np.array_equal(lam_new.lam, lam.lam):
+            trace.termination = "stalled"
+            logger.warning("EM stalled at iteration %d: the M-step left lambda unchanged", t)
+            return lam, trace
         ev_new = evaluate(problem, lam_new, config.zero_marginal, audit=True)
         # The bound's U* and H are taken at the previous weights, Q at the new ones.
         trace.rows.append(EmIteration(
@@ -297,19 +305,10 @@ def em_solve(problem, config=None):
             _q(ev_new.log_z, lam_new, ev.phi_hat), ev.h, ev.u_star, ev_new.residual,
             result.iterations,
         ))
-
-        lam_change = float(np.abs(lam_new.lam - lam.lam).max())
-        lik_change = abs(ev_new.loglik - ev.loglik)
         lam, ev, target = lam_new, ev_new, TargetExpectations(ev_new.phi_hat)
-        if (lam_change <= config.lambda_tol or lik_change <= config.likelihood_tol) \
-                and ev.residual <= 10 * config.lambda_tol:
-            trace.converged = True
-            trace.termination = (
-                "lambda_tol" if lam_change <= config.lambda_tol else "likelihood_tol"
-            )
-            return lam, trace
 
-    trace.converged = False
-    trace.termination = "max_em_iter"
-    logger.warning("EM stopped after %d iterations without converging", config.max_em_iter)
+    trace.converged = ev.residual <= config.lambda_tol
+    trace.termination = "residual" if trace.converged else "max_em_iter"
+    if not trace.converged:
+        logger.warning("EM stopped after %d iterations without converging", t)
     return lam, trace

@@ -34,7 +34,6 @@ class LoadedProblem:
     """A parsed problem file: the core problem plus optional blocks."""
 
     problem: UMaxEntProblem
-    solver_config: SolverConfig
     em_config: EmConfig
     factorization: LatentFactorization = None
     label_map: LabelMap = None
@@ -137,7 +136,6 @@ def load_problem(doc):
         seed = int(doc.get("seed", 0))
     return LoadedProblem(
         problem=problem,
-        solver_config=solver_config,
         em_config=em_config,
         factorization=factorization,
         label_map=label_map,

@@ -220,30 +220,27 @@ class EmpiricalObservations:
         return self.dist.probs
 
 
-def _check_dims(weights, features):
-    if len(weights) != features.n_features:
-        raise DimensionMismatch("features", features.n_features, len(weights))
-
-
-def scores(weights, features):
-    """Per-element exponent sum_k lambda_k phi_k(X)."""
-    _check_dims(weights, features)
-    return weights.lam @ features.values
+def log_linear(lam, features):
+    """(Pr, log Pr, log Z) at the weight array lam from one max-shifted pass over the
+    scores sum_k lambda_k phi_k(X); log Pr stays finite where Pr underflows."""
+    if len(lam) != features.n_features:
+        raise DimensionMismatch("features", features.n_features, len(lam))
+    s = lam @ features.values
+    shift = s.max()
+    s = s - shift
+    e = np.exp(s)
+    z = e.sum()
+    return e / z, s - np.log(z), float(shift + np.log(z))
 
 
 def log_partition(weights, features):
     """log Z(lambda) = log sum_X exp(sum_k lambda_k phi_k(X)), max-shifted."""
-    s = scores(weights, features)
-    m = s.max()
-    return m + np.log(np.exp(s - m).sum())
+    return log_linear(weights.lam, features)[2]
 
 
 def log_linear_distribution(weights, features):
     """Pr(X) = exp(sum_k lambda_k phi_k(X)) / Z(lambda)."""
-    s = scores(weights, features)
-    s = s - s.max()
-    p = np.exp(s)
-    return Distribution(p / p.sum())
+    return Distribution(log_linear(weights.lam, features)[0])
 
 
 def observation_marginal(model, channel):

@@ -43,12 +43,16 @@ def _at_most_one_per_row(rows, n_observations):
     return bool(np.all(np.bincount(rows, minlength=n_observations) <= 1))
 
 
+def _support(channel):
+    """(rows, cols, values) of the channel's nonzero (so positive) entries, row-major."""
+    c = channel.matrix
+    rows, cols = np.nonzero(c)
+    return rows, cols, c[rows, cols]
+
+
 def has_disjoint_column_supports(channel):
     """True when every observation is supported by at most one element."""
-    # channel entries are nonnegative, so nonzero means positive
-    c = channel.matrix
-    rows, _ = np.nonzero(c)
-    return _at_most_one_per_row(rows, c.shape[0])
+    return _at_most_one_per_row(_support(channel)[0], channel.n_observations)
 
 
 def is_deterministic_channel(channel, model, atol=1e-12):
@@ -61,14 +65,12 @@ def is_deterministic_channel(channel, model, atol=1e-12):
     Only the nonzero channel entries are visited: the others give
     posterior 0.
     """
-    c = channel.matrix
+    rows, cols, v = _support(channel)
     p = model.probs
-    marg = c @ p
-    rows, cols = np.nonzero(c)
-    disjoint = _at_most_one_per_row(rows, c.shape[0])
+    marg = channel.matvec(p)
+    disjoint = _at_most_one_per_row(rows, channel.n_observations)
     live = marg[rows] > 0
-    rows, cols = rows[live], cols[live]
-    post = c[rows, cols] * p[cols] / marg[rows]
+    post = v[live] * p[cols[live]] / marg[rows[live]]
     point_mass = bool(np.all((post < atol) | (np.abs(post - 1.0) < atol)))
     return DeterminismReport(point_mass, disjoint)
 
@@ -88,17 +90,21 @@ def lagrangian_extra_term(problem, weights):
     whose term is zero. The nonzero entries' terms are summed per element
     in observation order.
     """
+    return _extra_term(problem, weights, _support(problem.channel))
+
+
+def _extra_term(problem, weights, support):
+    """lagrangian_extra_term on the channel's support from _support."""
+    rows, cols, v = support
     p = log_linear_distribution(weights, problem.features).probs
-    c = problem.channel.matrix
-    marg = c @ p
-    rows, cols = np.nonzero(c)
+    marg = problem.channel.matvec(p)
     live = marg[rows] > 0
-    rows, cols = rows[live], cols[live]
-    v, m = c[rows, cols], marg[rows]
+    rows, cols, v = rows[live], cols[live], v[live]
+    m = marg[rows]
     # (Pr(w|X) Pr(w) - Pr(w|X)^2 Pr(X)) / Pr(w)^2, weighted by Pr~(w)
     frac = (v * m - v ** 2 * p[cols]) / m ** 2
     term = problem.empirical.probs[rows] * frac * (weights.lam @ problem.features.values)[cols]
-    return np.bincount(cols, weights=term, minlength=c.shape[1])
+    return np.bincount(cols, weights=term, minlength=problem.channel.n_elements)
 
 
 @dataclass
@@ -116,17 +122,17 @@ class ReductionReport:
 
 def induced_empirical_x(problem):
     """Merge observation mass onto the unique supporting element per observation."""
-    c = problem.channel.matrix
-    rows, cols = np.nonzero(c)
-    if not _at_most_one_per_row(rows, c.shape[0]):
+    channel = problem.channel
+    rows, cols, _ = _support(channel)
+    if not _at_most_one_per_row(rows, channel.n_observations):
         raise PreconditionViolated("channel columns do not have disjoint supports")
     tilde = problem.empirical.probs
-    unsupported = np.ones(c.shape[0], dtype=bool)
+    unsupported = np.ones(channel.n_observations, dtype=bool)
     unsupported[rows] = False
     lost = np.flatnonzero(unsupported & (tilde > 0))
     if lost.size:
         raise ZeroMarginal(int(lost[0]))
-    return Distribution(np.bincount(cols, weights=tilde[rows], minlength=c.shape[1]))
+    return Distribution(np.bincount(cols, weights=tilde[rows], minlength=channel.n_elements))
 
 
 def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
@@ -146,10 +152,11 @@ def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
 
     rng = np.random.default_rng(seed)
     k = problem.features.n_features
+    support = _support(problem.channel)
     term_norm = 0.0
     for _ in range(n_random_lambda):
         lam = Weights(rng.uniform(-2, 2, size=k))
-        term_norm = max(term_norm, float(np.abs(lagrangian_extra_term(problem, lam)).max()))
+        term_norm = max(term_norm, float(np.abs(_extra_term(problem, lam, support)).max()))
 
     return ReductionReport(
         "standard",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import umaxent.em
 from umaxent import (
     Distribution,
     ElementSpace,
@@ -8,6 +9,8 @@ from umaxent import (
     EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
+    SolverResult,
+    SyntheticSpec,
     UMaxEntProblem,
     Weights,
     ZeroMarginal,
@@ -15,7 +18,9 @@ from umaxent import (
     e_step,
     em_solve,
     feature_expectation,
+    generate,
     likelihood_decomposition,
+    load_problem,
     log_likelihood,
     log_linear_distribution,
     observation_marginal,
@@ -263,7 +268,57 @@ def test_em_fixed_point_certification():
         problem = easy_problem(rng)
         lam, trace = em_solve(problem, cfg)
         assert trace.converged
-        assert constraint_residual(problem, lam) <= 10 * cfg.lambda_tol
+        assert constraint_residual(problem, lam) <= cfg.lambda_tol
+
+
+def frozen_loop_problem():
+    """50 x 80 x 5 at epsilon 0.5: the warm start meets the default grad_tol
+    long before the residual reaches 1e-12."""
+    doc, _ = generate(SyntheticSpec(50, 80, 5, epsilon=0.5, seed=3))
+    return load_problem(doc).problem
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_em_tight_tolerance_converges_on_the_residual(tol):
+    problem = frozen_loop_problem()
+    lam, trace = em_solve(problem, EmConfig(lambda_tol=tol, max_em_iter=3000))
+    assert trace.converged and trace.termination == "residual"
+    assert len(trace) - 1 < 200
+    assert trace.rows[-1].residual <= tol
+    assert constraint_residual(problem, lam) <= tol
+    assert all(row.residual > tol for row in trace.rows[:-1])
+
+
+def test_em_dense_audit_is_monotone_and_bounding_with_inexact_m_steps():
+    # at lambda_tol 1e-12 the M-step tolerance 0.1 * residual undercuts the
+    # default grad_tol 1e-8 for the last rows
+    _, trace = em_solve(frozen_loop_problem(), EmConfig(lambda_tol=1e-12))
+    assert trace.converged
+    assert min(row.residual for row in trace.rows[:-1]) < 1e-7
+    assert np.diff(trace.logliks()).min() >= -1e-12
+    for row in trace.rows:
+        assert row.u_star + row.q + row.h <= row.loglik + 1e-12
+
+
+def test_em_stops_when_the_m_step_cannot_move(monkeypatch):
+    def frozen(target, features, init=None, config=None):
+        return SolverResult(init, 0.0, 1.0, 0, False, message="no step")
+
+    monkeypatch.setattr(umaxent.em, "minimize_dual", frozen)
+    lam, trace = em_solve(easy_problem(np.random.default_rng(29)))
+    assert trace.termination == "stalled" and not trace.converged
+    assert len(trace) == 1
+    assert np.array_equal(lam.lam, trace.rows[0].lam)
+
+
+def test_em_converged_iff_residual_termination():
+    rng = np.random.default_rng(30)
+    for cfg in (EmConfig(), EmConfig(max_em_iter=3)):
+        problem = random_problem(rng)
+        _, trace = em_solve(problem, cfg)
+        assert trace.termination in ("residual", "stalled", "max_em_iter")
+        assert trace.converged == (trace.termination == "residual")
+        assert trace.converged == (trace.rows[-1].residual <= cfg.lambda_tol)
 
 
 def test_em_deterministic_traces():

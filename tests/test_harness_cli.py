@@ -144,9 +144,10 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d.update(elements=[[i] for i in range(len(d["elements"]))]),
     lambda d: d.update(em={"restarts": 3}),
     lambda d: d.update(em={"init_scale": 0.5}),
+    lambda d: d.update(em={"likelihood_tol": 1e-10}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
-        "removed-init-scale-key"])
+        "removed-init-scale-key", "removed-likelihood-tol-key"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())

@@ -1,4 +1,4 @@
-"""Property tests on the single per-lambda evaluation behind EM."""
+"""Property tests on the single per-lambda evaluation behind EM and on the EM loop."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from umaxent import (
     ObservationChannel,
     UMaxEntProblem,
     Weights,
+    em_solve,
 )
 from umaxent.em import evaluate
 
@@ -69,3 +70,28 @@ def test_evaluation_invariant_under_relabelling(case):
     assert ev_perm.phi_hat == pytest.approx(ev.phi_hat, abs=1e-12)
     for name in ("loglik", "u_star", "h", "residual"):
         assert getattr(ev_perm, name) == pytest.approx(getattr(ev, name), abs=1e-12), name
+
+
+@st.composite
+def deterministic_problems(draw):
+    """(values, channel, tilde): each observation names one element, each element
+    has at least one observation, and every observation has positive mass, so
+    the induced empirical distribution over elements is interior."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n, 9))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owner = np.concatenate([rng.permutation(n), rng.integers(n, size=m - n)])
+    channel = np.zeros((m, n))
+    channel[np.arange(m), owner] = rng.uniform(0.1, 1.0, size=m)
+    channel /= channel.sum(axis=0)
+    return rng.uniform(-3, 3, size=(k, n)), channel, rng.dirichlet(np.ones(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(deterministic_problems())
+def test_deterministic_channel_finishes_in_one_m_step(case):
+    values, channel, tilde = case
+    _, trace = em_solve(build(values, channel, tilde))
+    assert trace.converged and trace.termination == "residual"
+    assert len(trace) == 2

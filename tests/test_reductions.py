@@ -98,7 +98,7 @@ def test_verify_maxent_reduction_identity_channel():
     report = verify_maxent_reduction(problem)
     assert report.tv_distance <= 1e-6
     assert report.extra_term_norm <= 1e-10
-    assert report.iterations <= 2
+    assert report.iterations == 1
 
 
 def test_verify_maxent_reduction_merged_observations():
