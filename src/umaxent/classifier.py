@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EmConfig, UMaxEntProblem, e_step, em_solve
+from .em import UMaxEntProblem, e_step, em_solve
 from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
 from .model import Distribution, ElementSpace, EmpiricalObservations, ObservationChannel
 
@@ -249,26 +249,30 @@ def soft_e_step(batch, label_map, current, features, apply_correction=True,
     return e_step(problem, current, zero_marginal)
 
 
-def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,
-                        profile=None, config=None, apply_correction=True):
-    """EM on the channel problem that classifier outputs define.
+def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
+                       profile=None, apply_correction=True):
+    """The channel problem that classifier outputs define.
 
     Soft path when a batch is given, hard-label path when empirical label
     frequencies plus a confusion profile are given.
     """
-    config = config or EmConfig()
     if (batch is None) == (empirical_xi is None):
         raise ValidationError("provide either a soft batch or hard-label empirical data")
     if label_map is None:
         raise ValidationError("a label map is required")
-
     if batch is not None:
-        problem = _soft_problem(features, batch, label_map, apply_correction)
-    else:
-        if profile is None:
-            raise ValidationError("hard-label path needs a classifier profile")
-        problem = UMaxEntProblem(
-            ElementSpace(range(features.n_elements)), features, profile.lift(label_map),
-            EmpiricalObservations(empirical_xi),
-        )
+        return _soft_problem(features, batch, label_map, apply_correction)
+    if profile is None:
+        raise ValidationError("hard-label path needs a classifier profile")
+    return UMaxEntProblem(
+        ElementSpace(range(features.n_elements)), features, profile.lift(label_map),
+        EmpiricalObservations(empirical_xi),
+    )
+
+
+def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,
+                        profile=None, config=None, apply_correction=True):
+    """EM on classifier_problem's channel problem; returns (Weights, EmTrace)."""
+    problem = classifier_problem(features, batch, label_map, empirical_xi, profile,
+                                 apply_correction)
     return em_solve(problem, config)

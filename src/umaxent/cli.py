@@ -1,8 +1,10 @@
 """Batch experiment front end.
 
-Subcommands: generate, solve, check, reduce. Exit codes:
-0 success/converged, 1 validation error, 2 not converged (iteration budget
-exceeded or EM stalled).
+Subcommands: generate, solve, check, reduce. Every solve mode is one EM run
+on a channel problem: umaxent the file's, standard the same problem behind
+the disjoint-support precondition, classifier the soft or hard-label one.
+Exit codes: 0 success/converged, 1 validation or usage error, 2 not
+converged (iteration budget exceeded or EM stalled).
 """
 
 import argparse
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import SoftClassifierBatch, classifier_em_solve
-from .em import em_solve, log_likelihood
+from .classifier import SoftClassifierBatch, classifier_problem
+from .em import em_solve
 from .errors import UMaxEntError, ValidationError
 from .harness import SyntheticSpec, dump_json, generate, load_problem
 from .model import (
@@ -26,7 +28,6 @@ from .model import (
 from .reductions import (
     has_disjoint_column_supports,
     induced_empirical_x,
-    solve_standard_maxent,
     verify_latent_reduction,
     verify_maxent_reduction,
 )
@@ -41,78 +42,49 @@ def _em_config(loaded, args):
     overrides = {"lambda_tol": args.tol, "max_em_iter": args.max_iter,
                  "init_mode": args.init, "seed": args.seed}
     try:
-        loaded.em_config = dataclasses.replace(
+        return dataclasses.replace(
             loaded.em_config, **{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return loaded.em_config
 
 
-def _write_result(out_dir, stem, lam, features, residual, loglik, converged,
-                  iterations, mode, trace=None):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dist = log_linear_distribution(lam, features)
-    result = {
-        "mode": mode,
-        "lambda": lam.lam.tolist(),
-        "pr_x": dist.probs.tolist(),
-        "residual": residual,
-        "loglik": loglik,
-        "converged": converged,
-        "iterations": iterations,
-    }
-    dump_json(result, out_dir / f"{stem}_result.json")
-    if trace is not None:
-        trace.to_csv(out_dir / f"{stem}_trace.csv")
-    return result
-
-
-def _solve_loaded(loaded, args):
-    """Dispatch on --mode; returns (weights, trace_or_None, result_dict)."""
+def _mode_problem(loaded, args):
+    """The channel problem that --mode solves."""
     problem = loaded.problem
-    cfg = _em_config(loaded, args)
-    stem = Path(args.problem).stem
-
     if args.mode == "standard":
-        empirical_x = induced_empirical_x(problem)
-        res = solve_standard_maxent(empirical_x, problem.features, cfg.inner)
-        result = _write_result(
-            args.out, stem, res.weights, problem.features,
-            res.grad_norm, log_likelihood(problem, res.weights),
-            res.converged, res.iterations, "standard",
-        )
-        return res.converged, result
+        induced_empirical_x(problem)  # raises unless the column supports are disjoint
+    if args.mode != "classifier":
+        return problem
+    if loaded.label_map is None:
+        raise UMaxEntError("problem file has no classifier block")
+    if loaded.batch_csv is None:
+        return classifier_problem(problem.features, empirical_xi=problem.empirical.dist,
+                                  label_map=loaded.label_map, profile=loaded.profile)
+    batch = SoftClassifierBatch.from_csv(Path(args.problem).parent / loaded.batch_csv,
+                                         loaded.training_prior)
+    return classifier_problem(problem.features, batch=batch, label_map=loaded.label_map,
+                              apply_correction=not args.ablate_correction)
 
-    if args.mode == "classifier":
-        if loaded.label_map is None:
-            raise UMaxEntError("problem file has no classifier block")
-        if loaded.batch_csv is not None:
-            batch_path = Path(args.problem).parent / loaded.batch_csv
-            batch = SoftClassifierBatch.from_csv(batch_path, loaded.training_prior)
-            lam, trace = classifier_em_solve(
-                problem.features, batch=batch, label_map=loaded.label_map,
-                config=cfg, apply_correction=not args.ablate_correction,
-            )
-        else:
-            lam, trace = classifier_em_solve(
-                problem.features, empirical_xi=problem.empirical.dist,
-                label_map=loaded.label_map, profile=loaded.profile, config=cfg,
-            )
-        last = trace.rows[-1]
-        result = _write_result(
-            args.out, stem, lam, problem.features, last.residual, last.loglik,
-            trace.converged, last.iteration, "classifier", trace,
-        )
-        return trace.converged, result
 
-    lam, trace = em_solve(problem, cfg)
+def _solve_loaded(loaded, args, config):
+    """Run EM on the --mode problem; write <stem>_result.json and <stem>_trace.csv."""
+    lam, trace = em_solve(_mode_problem(loaded, args), config)
     last = trace.rows[-1]
-    result = _write_result(
-        args.out, stem, lam, problem.features, last.residual, last.loglik,
-        trace.converged, last.iteration, "umaxent", trace,
-    )
-    return trace.converged, result
+    result = {
+        "mode": args.mode,
+        "lambda": lam.lam.tolist(),
+        "pr_x": log_linear_distribution(lam, loaded.problem.features).probs.tolist(),
+        "residual": last.residual,
+        "loglik": last.loglik,
+        "converged": trace.converged,
+        "termination": trace.termination,
+        "iterations": last.iteration,
+    }
+    out, stem = Path(args.out), Path(args.problem).stem
+    out.mkdir(parents=True, exist_ok=True)
+    dump_json(result, out / f"{stem}_result.json")
+    trace.to_csv(out / f"{stem}_trace.csv")
+    return result
 
 
 def cmd_generate(args):
@@ -136,8 +108,8 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     loaded = load_problem(args.problem)
-    converged, _ = _solve_loaded(loaded, args)
-    return EXIT_OK if converged else EXIT_MAX_ITER
+    result = _solve_loaded(loaded, args, _em_config(loaded, args))
+    return EXIT_OK if result["converged"] else EXIT_MAX_ITER
 
 
 def cmd_check(args):
@@ -149,7 +121,8 @@ def cmd_check(args):
         print("truth sidecar does not match the problem", file=sys.stderr)
         return EXIT_VALIDATION
 
-    converged, result = _solve_loaded(loaded, args)
+    config = _em_config(loaded, args)
+    result = _solve_loaded(loaded, args, config)
     e_true = np.asarray(sidecar["feature_expectations_true"])
     dist = Distribution(np.asarray(result["pr_x"]))
     e_solved = feature_expectation(dist, problem.features)
@@ -161,29 +134,30 @@ def cmd_check(args):
     }
     if has_disjoint_column_supports(problem.channel):
         report["standard_reduction"] = dataclasses.asdict(
-            verify_maxent_reduction(problem, loaded.em_config)
+            verify_maxent_reduction(problem, config)
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(report, out / f"{Path(args.problem).stem}_check.json")
     print(dump_json(report), end="")
-    return EXIT_OK if converged else EXIT_MAX_ITER
+    return EXIT_OK if result["converged"] else EXIT_MAX_ITER
 
 
 def cmd_reduce(args):
     loaded = load_problem(args.problem)
     problem, fact = loaded.problem, loaded.factorization
+    config = _em_config(loaded, args)
     disjoint = has_disjoint_column_supports(problem.channel)
     reports = []
     if disjoint:
-        reports.append(verify_maxent_reduction(problem, loaded.em_config))
+        reports.append(verify_maxent_reduction(problem, config))
     if fact is not None:
         if disjoint:
             empirical_y = observation_marginal(induced_empirical_x(problem), fact.y_channel())
         else:
             empirical_y = problem.empirical.dist
         reports.append(verify_latent_reduction(
-            fact, empirical_y, problem.features, loaded.em_config
+            fact, empirical_y, problem.features, config
         ))
     if not reports:
         print("no applicable reduction for this problem", file=sys.stderr)
@@ -250,7 +224,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (UMaxEntError, OSError, json.JSONDecodeError) as exc:

@@ -76,6 +76,8 @@ class EmConfig:
     def __post_init__(self):
         if self.lambda_tol <= 0:
             raise ValueError("lambda_tol must be positive")
+        if self.max_em_iter < 0:
+            raise ValueError("max_em_iter must be nonnegative")
         if self.init_mode not in ("zero", "random", "prior"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.init_mode == "prior" and self.prior is None:

@@ -40,10 +40,9 @@ class LoadedProblem:
     profile: ClassifierProfile = None
     training_prior: Distribution = None
     batch_csv: str = None
-    seed: int = 0
 
 
-def problem_to_dict(problem, latent=None, classifier=None, solver=None, em=None, seed=0):
+def problem_to_dict(problem, seed=0):
     doc = {
         "elements": list(problem.space.elements),
         "features": {
@@ -60,14 +59,6 @@ def problem_to_dict(problem, latent=None, classifier=None, solver=None, em=None,
         doc["empirical"] = {"counts": problem.empirical.counts.tolist()}
     else:
         doc["empirical"] = {"exact": problem.empirical.probs.tolist()}
-    if latent is not None:
-        doc["latent"] = latent
-    if classifier is not None:
-        doc["classifier"] = classifier
-    if solver:
-        doc["solver"] = solver
-    if em:
-        doc["em"] = em
     return doc
 
 
@@ -133,7 +124,7 @@ def load_problem(doc):
             batch_csv = cls.get("batch_csv")
 
     with _block("seed"):
-        seed = int(doc.get("seed", 0))
+        int(doc.get("seed", 0))  # a seed that int() cannot read is malformed
     return LoadedProblem(
         problem=problem,
         em_config=em_config,
@@ -142,7 +133,6 @@ def load_problem(doc):
         profile=profile,
         training_prior=training_prior,
         batch_csv=batch_csv,
-        seed=seed,
     )
 
 

@@ -103,7 +103,7 @@ def test_cli_solve_exact_marginal_residual(tmp_path):
     code = main(["solve", str(problem), "--out", str(tmp_path)])
     assert code == EXIT_OK
     result = json.loads((tmp_path / "prob_result.json").read_text())
-    assert result["converged"]
+    assert result["converged"] and result["termination"] == "residual"
     assert result["residual"] <= 1e-5
     lines = (tmp_path / "prob_trace.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -119,9 +119,32 @@ def test_cli_solve_identity_channel_matches_standard_mode(tmp_path):
     assert main(["solve", str(problem), "--out", str(tmp_path / "em")]) == EXIT_OK
     assert main(["solve", str(problem), "--mode", "standard",
                  "--out", str(tmp_path / "std")]) == EXIT_OK
-    p_em = json.loads((tmp_path / "em" / "prob_result.json").read_text())["pr_x"]
-    p_std = json.loads((tmp_path / "std" / "prob_result.json").read_text())["pr_x"]
-    assert 0.5 * np.abs(np.array(p_em) - np.array(p_std)).sum() <= 1e-6
+    em, std = tmp_path / "em", tmp_path / "std"
+    assert (std / "prob_trace.csv").read_bytes() == (em / "prob_trace.csv").read_bytes()
+    r_em = json.loads((em / "prob_result.json").read_text())
+    r_std = json.loads((std / "prob_result.json").read_text())
+    assert (r_em.pop("mode"), r_std.pop("mode")) == ("umaxent", "standard")
+    assert r_std == r_em
+    assert r_std["iterations"] == 1
+
+
+def test_cli_standard_mode_honours_tol(tmp_path):
+    problem, _ = write_problem(tmp_path, epsilon=0.0, seed=11)
+    code = main(["solve", str(problem), "--mode", "standard", "--tol", "10",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    result = json.loads((tmp_path / "prob_result.json").read_text())
+    assert result["iterations"] == 0 and result["termination"] == "residual"
+    assert len((tmp_path / "prob_trace.csv").read_text().splitlines()) == 2
+
+
+def test_cli_standard_mode_needs_disjoint_supports(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, epsilon=0.2, seed=11)
+    code = main(["solve", str(problem), "--mode", "standard", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: channel columns do not have disjoint supports\n"
+    assert not (tmp_path / "prob_result.json").exists()
 
 
 def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
@@ -145,9 +168,10 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d.update(em={"restarts": 3}),
     lambda d: d.update(em={"init_scale": 0.5}),
     lambda d: d.update(em={"likelihood_tol": 1e-10}),
+    lambda d: d.update(em={"max_em_iter": -1}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
-        "removed-init-scale-key", "removed-likelihood-tol-key"])
+        "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -203,6 +227,36 @@ def test_cli_solve_iteration_budget_exit_code(tmp_path):
     assert code == EXIT_MAX_ITER
     result = json.loads((tmp_path / "prob_result.json").read_text())
     assert not result["converged"]
+    assert result["termination"] == "max_em_iter"
+
+
+def test_cli_solve_negative_max_iter_is_validation_error(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, seed=13)
+    code = main(["solve", str(problem), "--max-iter", "-3", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: max_em_iter must be nonnegative\n"
+    assert not (tmp_path / "prob_result.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{problem}", "--mode", "bogus"],
+    ["solve", "{problem}", "--no-such-flag"],
+    ["solve", "{problem}", "--max-iter", "many"],
+    ["frobnicate"],
+    [],
+], ids=["bad-mode", "unknown-flag", "non-integer-max-iter", "unknown-command", "no-command"])
+def test_cli_usage_error_exits_validation(tmp_path, capsys, argv):
+    problem, _ = write_problem(tmp_path, seed=13)
+    code = main([a.format(problem=problem) for a in argv])
+    assert code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["solve", "--help"]) == EXIT_OK
+    assert "--mode" in capsys.readouterr().out
 
 
 def test_cli_solve_byte_identical_across_runs(tmp_path):
@@ -268,6 +322,19 @@ def test_cli_reduce_deterministic_channel(tmp_path):
     assert reports[0]["reduction"] == "standard"
     assert reports[0]["tv_distance"] <= 1e-6
     assert reports[0]["extra_term_norm"] <= 1e-10
+
+
+def test_cli_reduce_honours_common_flags(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, epsilon=0.0, seed=19)
+    code = main(["reduce", str(problem), "--tol", "-1", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: lambda_tol must be positive\n"
+    assert not (tmp_path / "prob_reduce.json").exists()
+
+    code = main(["reduce", str(problem), "--max-iter", "0", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    reports = json.loads((tmp_path / "prob_reduce.json").read_text())
+    assert reports[0]["reduction"] == "standard" and reports[0]["iterations"] == 0
 
 
 def test_cli_reduce_latent_block(tmp_path):

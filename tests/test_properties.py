@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from umaxent import (
     Distribution,
     ElementSpace,
+    EmConfig,
     EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
@@ -70,6 +71,16 @@ def test_evaluation_invariant_under_relabelling(case):
     assert ev_perm.phi_hat == pytest.approx(ev.phi_hat, abs=1e-12)
     for name in ("loglik", "u_star", "h", "residual"):
         assert getattr(ev_perm, name) == pytest.approx(getattr(ev, name), abs=1e-12), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_em_monotone_and_bounding_with_zero_entries_and_zero_mass(case):
+    values, channel, tilde, _, _ = case
+    _, trace = em_solve(build(values, channel, tilde), EmConfig(max_em_iter=8))
+    assert np.all(np.diff(trace.logliks()) >= -1e-12)
+    for row in trace.rows:
+        assert row.u_star + row.q + row.h <= row.loglik + 1e-12, row.iteration
 
 
 @st.composite
