@@ -114,8 +114,10 @@ class SoftClassifierBatch:
             sample_weights = np.full(rows.shape[0], 1.0 / rows.shape[0])
         else:
             sample_weights = np.asarray(sample_weights, dtype=float)
-            if sample_weights.shape != (rows.shape[0],) or np.any(sample_weights < 0):
-                raise ValidationError("sample weights must be a nonnegative length-N vector")
+            if (sample_weights.shape != (rows.shape[0],) or np.any(sample_weights < 0)
+                    or not np.all(np.isfinite(sample_weights)) or sample_weights.sum() <= 0):
+                raise ValidationError("sample weights must be a finite nonnegative "
+                                      "length-N vector with a positive total")
             sample_weights = sample_weights / sample_weights.sum()
         rows.setflags(write=False)
         sample_weights.setflags(write=False)
@@ -235,18 +237,17 @@ def _soft_problem(features, batch, label_map, apply_correction=True):
     )
 
 
-def soft_e_step(batch, label_map, current, features, apply_correction=True,
-                zero_marginal="error"):
+def soft_e_step(batch, label_map, current, features, apply_correction=True):
     """E-step from soft classifier outputs with the training-prior correction.
 
     Each row, reweighted by the current model's label marginal over the
     training prior and renormalized, is mapped through
     Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averaged over samples.
-    This is e_step on the problem classifier_em_solve solves; a row whose
-    corrected mass is zero follows zero_marginal like any observation.
+    This is e_step on the problem classifier_em_solve solves, so a row whose
+    labels own no element is rejected like any observation no element produces.
     """
     problem = _soft_problem(features, batch, label_map, apply_correction)
-    return e_step(problem, current, zero_marginal)
+    return e_step(problem, current)
 
 
 def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,

@@ -49,10 +49,12 @@ class SolverConfig:
     divergence_guard: float = 1e3
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.divergence_guard > 0:
+            raise ValueError("divergence_guard must be positive")
 
 
 @dataclass

@@ -12,6 +12,10 @@ is read only through its matvec (C @ v), rmatvec (C^T @ v) and
 xlogx_rmatvec ((C log C)^T @ v), so a factored channel such as a
 classifier batch composed with a label map runs the same loop as a dense
 one.
+
+An observed omega with a zero channel row makes L -inf for every lambda, so
+UMaxEntProblem rejects it when built; EM raises the same ZeroMarginal only
+when the model's mass underflows.
 """
 
 import csv
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dual import SolverConfig, TargetExpectations, minimize_dual
-from .errors import DimensionMismatch, ValidationError, ZeroMarginal
+from .errors import DimensionMismatch, ZeroMarginal
 from .model import (
     Distribution,
     EmpiricalObservations,
@@ -58,6 +62,9 @@ class UMaxEntProblem:
             raise DimensionMismatch(
                 "observations", self.channel.n_observations, len(self.empirical.dist)
             )
+        dead = (self.empirical.probs > 0) & (self.channel.matvec(np.ones(n)) <= 0)
+        if np.any(dead):
+            raise ZeroMarginal(int(np.argmax(dead)), "has mass but no element can produce it")
 
 
 @dataclass
@@ -71,10 +78,9 @@ class EmConfig:
     init_mode: str = "zero"  # zero | random | prior
     seed: int = 0
     prior: Distribution = None
-    zero_marginal: str = "error"  # error | skip
 
     def __post_init__(self):
-        if self.lambda_tol <= 0:
+        if not self.lambda_tol > 0:
             raise ValueError("lambda_tol must be positive")
         if self.max_em_iter < 0:
             raise ValueError("max_em_iter must be nonnegative")
@@ -138,16 +144,13 @@ class EmTrace:
 class _Evaluation:
     """Everything EM reads from the model at one lambda.
 
-    With m = C p and r = w / m (w the renormalized empirical mass on the
-    active observations): mix = p * C^T r is the posterior-averaged
-    distribution over X, phi_hat = F mix, L = w . log m,
-    U* = p . ((C log C)^T r) and H = -U* - mix . log p + L. None of these
-    needs the |Omega| x |X| posterior matrix. u_star and h are None when
-    the evaluation was made without the audit.
+    With m = C p and r = w / m (w the empirical mass, r = 0 where w = 0):
+    mix = p * C^T r is the posterior-averaged distribution over X,
+    phi_hat = F mix, L = w . log m, U* = p . ((C log C)^T r) and
+    H = -U* - mix . log p + L; none needs the |Omega| x |X| posterior matrix.
     """
 
     log_z: float
-    active: np.ndarray
     phi_hat: np.ndarray
     loglik: float
     u_star: float
@@ -155,53 +158,33 @@ class _Evaluation:
     residual: float
 
 
-def _reweight(problem, p, zero_marginal):
-    """(m, active, w, r, mix) for a model distribution p over X.
-
-    Observations with empirical mass but zero model marginal either raise
-    or (policy "skip") are dropped from the active mask with a warning.
-    """
+def _reweight(problem, p):
+    """(m, observed, r, mix) for a model distribution p over X; observed marks the
+    observations with empirical mass, whose marginal is zero only on underflow."""
     channel = problem.channel
     marg = channel.matvec(p)
-    tilde = problem.empirical.probs
-    active = tilde > 0
-    dead = active & (marg <= 0)
+    w = problem.empirical.probs
+    observed = w > 0
+    dead = observed & (marg <= 0)
     if np.any(dead):
-        if zero_marginal != "skip":
-            raise ZeroMarginal(int(np.flatnonzero(dead)[0]))
-        logger.warning(
-            "dropping %d observation(s) with empirical mass but zero model marginal",
-            int(dead.sum()),
-        )
-        active &= marg > 0
-    w = tilde * active
-    total = w.sum()
-    if total <= 0:
-        raise ValidationError("no observations remain after dropping zero-marginal ones")
-    w = w / total
-    r = np.divide(w, marg, out=np.zeros_like(w), where=active)
+        raise ZeroMarginal(int(np.flatnonzero(dead)[0]))
+    r = np.divide(w, marg, out=np.zeros_like(w), where=observed)
     mix = p * channel.rmatvec(r)
-    return marg, active, w, r, mix
+    return marg, observed, r, mix
 
 
-def evaluate(problem, weights, zero_marginal="error", audit=False):
-    """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual.
-
-    With audit the U* and H terms are computed too (one more product, with
-    C log C); without it u_star and h are None.
-    """
+def evaluate(problem, weights):
+    """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual."""
     p, log_p, log_z = log_linear(weights.lam, problem.features)
-    marg, active, w, r, mix = _reweight(problem, p, zero_marginal)
+    marg, observed, r, mix = _reweight(problem, p)
 
     values = problem.features.values
     phi_hat = values @ mix
-    loglik = float(w[active] @ np.log(marg[active]))
-    u_star = h = None
-    if audit:
-        u_star = float(p @ problem.channel.xlogx_rmatvec(r))
-        h = -u_star - float(mix @ log_p) + loglik
+    loglik = float(problem.empirical.probs[observed] @ np.log(marg[observed]))
+    u_star = float(p @ problem.channel.xlogx_rmatvec(r))
+    h = -u_star - float(mix @ log_p) + loglik
     residual = float(np.abs(values @ p - phi_hat).max())
-    return _Evaluation(log_z, active, phi_hat, loglik, u_star, h, residual)
+    return _Evaluation(log_z, phi_hat, loglik, u_star, h, residual)
 
 
 def _q(log_z, weights, phi_hat_prev):
@@ -209,7 +192,7 @@ def _q(log_z, weights, phi_hat_prev):
     return float(-log_z + weights.lam @ phi_hat_prev)
 
 
-def e_step(problem, current, zero_marginal="error", model=None):
+def e_step(problem, current, model=None):
     """Corrected target expectations under the current model.
 
     phi_hat_k = sum_omega Pr~(omega) sum_X Pr(X | omega) phi_k(X).
@@ -217,41 +200,40 @@ def e_step(problem, current, zero_marginal="error", model=None):
     (used for prior-seeded first iterations).
     """
     if model is None:
-        return TargetExpectations(evaluate(problem, current, zero_marginal).phi_hat)
+        return TargetExpectations(evaluate(problem, current).phi_hat)
     if len(model) != problem.features.n_elements:
         raise DimensionMismatch("elements", problem.features.n_elements, len(model))
-    mix = _reweight(problem, model.probs, zero_marginal)[-1]
+    mix = _reweight(problem, model.probs)[-1]
     return TargetExpectations(problem.features.values @ mix)
 
 
-def log_likelihood(problem, weights, zero_marginal="error"):
+def log_likelihood(problem, weights):
     """L(lambda) = sum_omega Pr~(omega) log Pr_lambda(omega).
 
-    An observation with empirical mass but zero model marginal makes L
-    -inf; under policy "skip" it is dropped instead and the remaining
-    empirical mass renormalized, as in likelihood_decomposition.
+    L is -inf when an observation with empirical mass gets zero model
+    marginal, which happens only when the model's mass underflows.
     """
     try:
-        return evaluate(problem, weights, zero_marginal).loglik
+        return evaluate(problem, weights).loglik
     except ZeroMarginal:
         return -np.inf
 
 
-def likelihood_decomposition(problem, weights, weights_prev, zero_marginal="error"):
+def likelihood_decomposition(problem, weights, weights_prev):
     """(U_star, Q, H) for the EM lower bound U* + Q + H <= L(lambda).
 
     Posteriors come from weights_prev; Q alone depends on weights.
     Terms with zero posterior contribute zero even when log Pr(omega|X)
     is -inf.
     """
-    prev = evaluate(problem, weights_prev, zero_marginal, audit=True)
+    prev = evaluate(problem, weights_prev)
     q = _q(log_partition(weights, problem.features), weights, prev.phi_hat)
     return prev.u_star, q, prev.h
 
 
-def constraint_residual(problem, weights, zero_marginal="error"):
+def constraint_residual(problem, weights):
     """Sup-norm gap between model expectations and the E-step targets at the same weights."""
-    return evaluate(problem, weights, zero_marginal).residual
+    return evaluate(problem, weights).residual
 
 
 def _initial_weights(problem, config):
@@ -280,10 +262,10 @@ def em_solve(problem, config=None):
     lam = _initial_weights(problem, config)
     trace = EmTrace()
 
-    ev = evaluate(problem, lam, config.zero_marginal, audit=True)
+    ev = evaluate(problem, lam)
     target = TargetExpectations(ev.phi_hat)
     if config.init_mode == "prior":
-        target = e_step(problem, lam, config.zero_marginal, model=config.prior)
+        target = e_step(problem, lam, model=config.prior)
     trace.rows.append(EmIteration(
         0, np.array(lam.lam), np.array(target.phi_hat), ev.loglik,
         _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, ev.residual, 0,
@@ -300,7 +282,7 @@ def em_solve(problem, config=None):
             trace.termination = "stalled"
             logger.warning("EM stalled at iteration %d: the M-step left lambda unchanged", t)
             return lam, trace
-        ev_new = evaluate(problem, lam_new, config.zero_marginal, audit=True)
+        ev_new = evaluate(problem, lam_new)
         # The bound's U* and H are taken at the previous weights, Q at the new ones.
         trace.rows.append(EmIteration(
             t, np.array(lam_new.lam), np.array(target.phi_hat), ev_new.loglik,

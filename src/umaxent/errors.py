@@ -20,11 +20,11 @@ class ValidationError(UMaxEntError):
 
 
 class ZeroMarginal(UMaxEntError):
-    """An observation has zero probability under the current model."""
+    """An observation with empirical mass has zero probability under the model."""
 
-    def __init__(self, index):
+    def __init__(self, index, reason="has zero marginal probability under the model"):
         self.index = index
-        super().__init__(f"observation {index} has zero marginal probability under the model")
+        super().__init__(f"observation {index} {reason}")
 
 
 class InfeasibleTarget(UMaxEntError):

@@ -123,8 +123,9 @@ def load_problem(doc):
                 training_prior = Distribution(cls["training_prior"])
             batch_csv = cls.get("batch_csv")
 
-    with _block("seed"):
-        int(doc.get("seed", 0))  # a seed that int() cannot read is malformed
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"malformed seed: {seed!r} is not an integer")
     return LoadedProblem(
         problem=problem,
         em_config=em_config,

@@ -127,11 +127,6 @@ def induced_empirical_x(problem):
     if not _at_most_one_per_row(rows, channel.n_observations):
         raise PreconditionViolated("channel columns do not have disjoint supports")
     tilde = problem.empirical.probs
-    unsupported = np.ones(channel.n_observations, dtype=bool)
-    unsupported[rows] = False
-    lost = np.flatnonzero(unsupported & (tilde > 0))
-    if lost.size:
-        raise ZeroMarginal(int(lost[0]))
     return Distribution(np.bincount(cols, weights=tilde[rows], minlength=channel.n_elements))
 
 

@@ -29,7 +29,7 @@ from umaxent import (
     soft_e_step,
     solve_standard_maxent,
 )
-from umaxent.classifier import LabelChannel, _soft_problem
+from umaxent.classifier import LabelChannel, _soft_problem, classifier_problem
 from umaxent.em import evaluate
 from umaxent.reductions import (
     has_disjoint_column_supports,
@@ -200,6 +200,8 @@ def test_soft_e_step_enumeration():
 
 
 def test_degenerate_rows_skipped_with_renormalized_weights():
+    # rows are never dropped: a row whose corrected mass underflows to zero
+    # is an error, like any observation the model cannot produce
     feat = FeatureTable([[1.0, 0.0]])
     lm = LabelMap.from_assignment([0, 1], 2)
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
@@ -207,10 +209,27 @@ def test_degenerate_rows_skipped_with_renormalized_weights():
     # model with zero mass on element 1 is impossible log-linearly, so
     # drive it there with a large weight: the corrected second row ~ 0
     lam = Weights([800.0])  # exp(-800) underflows: element 1 gets exactly zero mass
-    out = soft_e_step(batch, lm, lam, feat, zero_marginal="skip")
-    assert out.phi_hat[0] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ZeroMarginal):
-        soft_e_step(batch, lm, lam, feat, zero_marginal="error")
+    with pytest.raises(ZeroMarginal) as exc:
+        soft_e_step(batch, lm, lam, feat)
+    assert exc.value.index == 1
+
+
+def test_soft_row_on_labels_without_elements_is_rejected():
+    # label 2 owns no element, so row 1, all on label 2, cannot be produced
+    feat = FeatureTable([[1.0, 0.0]])
+    lm = LabelMap.from_assignment([0, 1], 3)
+    batch = SoftClassifierBatch([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                                Distribution(np.full(3, 1 / 3)))
+    with pytest.raises(ZeroMarginal, match="no element can produce it") as exc:
+        classifier_problem(feat, batch=batch, label_map=lm)
+    assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]],
+                         ids=["zero-total", "nan", "inf"])
+def test_batch_rejects_unusable_sample_weights(weights):
+    with pytest.raises(ValidationError, match="sample weights"):
+        SoftClassifierBatch([[0.6, 0.4], [0.2, 0.8]], Distribution([0.5, 0.5]), weights)
 
 
 def test_classifier_em_perfect_batch_matches_standard():
@@ -318,8 +337,8 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
                            factored.empirical)
     for _ in range(10):
         lam = Weights(rng.uniform(-2, 2, size=3))
-        a = evaluate(factored, lam, audit=True)
-        b = evaluate(dense, lam, audit=True)
+        a = evaluate(factored, lam)
+        b = evaluate(dense, lam)
         assert np.max(np.abs(a.phi_hat - b.phi_hat)) <= 1e-13
         for name in ("loglik", "u_star", "h", "residual"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-13), name

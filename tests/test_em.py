@@ -126,29 +126,20 @@ def test_e_step_random_matches_enumeration():
 
 
 def test_e_step_zero_marginal_policies():
-    # element 2 unreachable: observation 2 has empirical mass but channel
-    # support only on an element the model excludes is impossible with
-    # log-linear models, so force it with a zero channel row
+    # observation 2 has empirical mass but a zero channel row: no element
+    # produces it, so L is -inf under every model and the problem is rejected
     channel = np.array([[1.0, 0.5], [0.0, 0.5], [0.0, 0.0]])
-    problem = make_problem([[1.0, 0.0]], channel, [0.5, 0.25, 0.25])
-    with pytest.raises(ZeroMarginal):
-        e_step(problem, Weights([0.0]))
-    out = e_step(problem, Weights([0.0]), zero_marginal="skip")
-    assert np.all(np.isfinite(out.phi_hat))
-
-
-def test_em_zero_marginal_skip_audit():
-    # same fixture: under "skip" the likelihood drops observation 2 and
-    # renormalizes, like the decomposition, so the audit stays finite
-    channel = np.array([[1.0, 0.5], [0.0, 0.5], [0.0, 0.0]])
-    problem = make_problem([[1.0, 0.0]], channel, [0.5, 0.25, 0.25])
-    assert log_likelihood(problem, Weights([0.0])) == -np.inf
-    _, trace = em_solve(problem, EmConfig(zero_marginal="skip"))
-    logliks = trace.logliks()
-    assert np.all(np.isfinite(logliks))
-    assert np.all(np.diff(logliks) >= -1e-12)
-    for row in trace.rows:
-        assert row.u_star + row.q + row.h <= row.loglik + 1e-12
+    with pytest.raises(ZeroMarginal, match="no element can produce it") as exc:
+        make_problem([[1.0, 0.0]], channel, [0.5, 0.25, 0.25])
+    assert exc.value.index == 2
+    # without mass on it the row is vacuous
+    problem = make_problem([[1.0, 0.0]], channel, [0.5, 0.5, 0.0])
+    assert np.isfinite(log_likelihood(problem, Weights([0.0])))
+    # a marginal that underflows is -inf for L and an error for the E-step
+    assert log_likelihood(problem, Weights([800.0])) == -np.inf
+    with pytest.raises(ZeroMarginal) as exc:
+        e_step(problem, Weights([800.0]))
+    assert exc.value.index == 1
 
 
 def test_log_likelihood_identity_channel_is_negative_entropy():
@@ -367,21 +358,17 @@ def test_trace_csv_schema():
     assert len(text.splitlines()) == len(trace) + 1
 
 
-def dense_reference(problem, lam, zero_marginal="error"):
+def dense_reference(problem, lam):
     """The audit from the explicit |Omega| x |X| posterior matrix, term by term."""
     p = log_linear_distribution(Weights(lam), problem.features).probs
     ch = problem.channel.matrix
     values = problem.features.values
     marg = ch @ p
-    tilde = problem.empirical.probs
-    active = tilde > 0
-    if zero_marginal == "skip":
-        active &= marg > 0
+    w = problem.empirical.probs
+    active = w > 0
     post = np.zeros_like(ch)
     ok = marg > 0
     post[ok] = ch[ok] * p / marg[ok, None]
-    w = tilde * active
-    w = w / w.sum()
     phi_hat = values @ (post.T @ w)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ch = np.where(post > 0, np.log(np.where(ch > 0, ch, 1.0)), 0.0)
@@ -395,47 +382,31 @@ def dense_reference(problem, lam, zero_marginal="error"):
     }
 
 
-def sparse_problem(rng, zero_rows=0):
-    """Random problem with zero channel entries and zero-mass observations.
-
-    zero_rows appends observations with an all-zero channel row but positive
-    empirical mass: they are dead under every model.
-    """
+def sparse_problem(rng):
+    """Random problem with zero channel entries and zero-mass observations."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 9))
     k = int(rng.integers(1, 4))
     channel = rng.dirichlet(np.ones(m), size=n).T
     channel[rng.random(channel.shape) < 0.4] = 0.0
     channel[rng.integers(m, size=n), np.arange(n)] += 0.1  # keep each column nonzero
-    channel = np.vstack([channel / channel.sum(axis=0), np.zeros((zero_rows, n))])
-    tilde = rng.dirichlet(np.ones(m + zero_rows))
-    tilde[:m][(rng.random(m) < 0.3) | (channel[:m].sum(axis=1) == 0)] = 0.0
-    tilde[np.argmax(channel[:m].sum(axis=1))] += 0.05  # keep a live observation
+    channel = channel / channel.sum(axis=0)
+    tilde = rng.dirichlet(np.ones(m))
+    tilde[(rng.random(m) < 0.3) | (channel.sum(axis=1) == 0)] = 0.0
+    tilde[np.argmax(channel.sum(axis=1))] += 0.05  # keep a live observation
     return make_problem(rng.uniform(-2, 2, size=(k, n)), channel, tilde / tilde.sum())
 
 
-@pytest.mark.parametrize("zero_rows, policy", [(0, "error"), (1, "skip")])
-def test_evaluate_matches_dense_reference(zero_rows, policy):
-    rng = np.random.default_rng(24 + zero_rows)
+def test_evaluate_matches_dense_reference():
+    rng = np.random.default_rng(24)
     for _ in range(40):
-        problem = sparse_problem(rng, zero_rows)
+        problem = sparse_problem(rng)
         lam = rng.uniform(-2, 2, size=problem.features.n_features)
-        ev = evaluate(problem, Weights(lam), policy, audit=True)
-        ref = dense_reference(problem, lam, policy)
+        ev = evaluate(problem, Weights(lam))
+        ref = dense_reference(problem, lam)
         assert np.max(np.abs(ev.phi_hat - ref["phi_hat"])) <= 1e-12
         for name in ("loglik", "u_star", "h", "residual"):
             assert getattr(ev, name) == pytest.approx(ref[name], abs=1e-12), name
-        if zero_rows:
-            assert not ev.active[-1]
-            with pytest.raises(ZeroMarginal):
-                evaluate(problem, Weights(lam))
-
-
-def test_evaluate_without_audit_matrix_leaves_audit_terms_empty():
-    rng = np.random.default_rng(26)
-    problem = random_problem(rng)
-    ev = evaluate(problem, Weights(np.zeros(problem.features.n_features)))
-    assert ev.u_star is None and ev.h is None
 
 
 def test_trace_rows_match_public_definitions():
@@ -468,10 +439,20 @@ class ProductsOnlyChannel:
         self.xlogx_rmatvec = channel.xlogx_rmatvec
 
 
+def test_unproducible_observation_rejected_through_the_products():
+    # the construction check reads the row sums as C @ 1, so a channel
+    # without a matrix is checked too
+    channel = ProductsOnlyChannel(ObservationChannel([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]]))
+    empirical = EmpiricalObservations(Distribution([0.5, 0.2, 0.3]))
+    with pytest.raises(ZeroMarginal) as exc:
+        UMaxEntProblem(ElementSpace(range(2)), FeatureTable([[1.0, 0.0]]), channel, empirical)
+    assert exc.value.index == 1
+
+
 @pytest.mark.parametrize("config", [
     EmConfig(max_em_iter=40),
-    EmConfig(max_em_iter=40, init_mode="random", seed=3, zero_marginal="skip"),
-], ids=["zero-init", "random-init-skip"])
+    EmConfig(max_em_iter=40, init_mode="random", seed=3),
+], ids=["zero-init", "random-init"])
 def test_em_reads_a_channel_only_through_its_products(config):
     rng = np.random.default_rng(28)
     dense = random_problem(rng, n_max=6, m_max=9)

@@ -7,6 +7,7 @@ from umaxent import (
     Distribution,
     SyntheticSpec,
     ValidationError,
+    ZeroMarginal,
     dump_json,
     generate,
     is_deterministic_channel,
@@ -169,9 +170,19 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d.update(em={"init_scale": 0.5}),
     lambda d: d.update(em={"likelihood_tol": 1e-10}),
     lambda d: d.update(em={"max_em_iter": -1}),
+    lambda d: d.update(em={"zero_marginal": "skip"}),
+    lambda d: d.update(seed=1.5),
+    lambda d: d.update(seed=True),
+    lambda d: d.update(seed="7"),
+    lambda d: d.update(solver={"grad_tol": float("nan")}),
+    lambda d: d.update(em={"lambda_tol": float("nan")}),
+    lambda d: d.update(solver={"divergence_guard": -1.0}),
+    lambda d: d.update(solver={"divergence_guard": float("nan")}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
-        "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter"])
+        "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter",
+        "removed-zero-marginal-key", "float-seed", "bool-seed", "string-seed", "nan-grad-tol",
+        "nan-lambda-tol", "negative-divergence-guard", "nan-divergence-guard"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -228,6 +239,30 @@ def test_cli_solve_iteration_budget_exit_code(tmp_path):
     result = json.loads((tmp_path / "prob_result.json").read_text())
     assert not result["converged"]
     assert result["termination"] == "max_em_iter"
+
+
+def test_cli_solve_unproducible_observation_is_validation_error(tmp_path, capsys):
+    # observation 1 has mass but a zero channel row: no element produces it
+    doc = {"elements": [0, 1], "features": {"values": [[1.0, 0.0]]},
+           "channel": {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]},
+           "empirical": {"exact": [0.5, 0.2, 0.3]}}
+    with pytest.raises(ZeroMarginal) as exc:
+        load_problem(doc)
+    assert exc.value.index == 1
+    problem = tmp_path / "prob.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: observation 1 has mass but no element can produce it\n"
+    assert not (tmp_path / "prob_result.json").exists()
+
+
+def test_cli_solve_nan_tol_is_validation_error(tmp_path, capsys):
+    problem, _ = write_problem(tmp_path, seed=13)
+    code = main(["solve", str(problem), "--tol", "nan", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: lambda_tol must be positive\n"
+    assert not (tmp_path / "prob_result.json").exists()
 
 
 def test_cli_solve_negative_max_iter_is_validation_error(tmp_path, capsys):

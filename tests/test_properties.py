@@ -15,6 +15,7 @@ from umaxent import (
     UMaxEntProblem,
     Weights,
     em_solve,
+    log_linear_distribution,
 )
 from umaxent.em import evaluate
 
@@ -47,7 +48,7 @@ def problems(draw):
 
 def evaluated(values, channel, tilde, lam):
     problem = build(values, channel, tilde)
-    return evaluate(problem, Weights(lam), audit=True)
+    return evaluate(problem, Weights(lam))
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,3 +107,32 @@ def test_deterministic_channel_finishes_in_one_m_step(case):
     _, trace = em_solve(build(values, channel, tilde))
     assert trace.converged and trace.termination == "residual"
     assert len(trace) == 2
+
+
+def fitted(values, channel, tilde, config):
+    lam, _ = em_solve(build(values, channel, tilde), config)
+    return log_linear_distribution(lam, FeatureTable(values)).probs
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+def test_em_solve_invariant_under_relabelling(case):
+    # the same fit, element for element: compare distributions, since weights
+    # along flat directions of the likelihood need not agree
+    values, channel, tilde, _, rng = case
+    config = EmConfig(max_em_iter=20)
+    px = rng.permutation(values.shape[1])
+    pw = rng.permutation(channel.shape[0])
+    p = fitted(values, channel, tilde, config)
+    p_perm = fitted(values[:, px], channel[pw][:, px], tilde[pw], config)
+    assert np.abs(p_perm - p[px]).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.floats(-3, 3))
+def test_em_solve_ignores_a_constant_feature(case, c):
+    values, channel, tilde, _, _ = case
+    config = EmConfig(max_em_iter=20)
+    p = fitted(values, channel, tilde, config)
+    p_const = fitted(np.vstack([values, np.full(values.shape[1], c)]), channel, tilde, config)
+    assert np.abs(p_const - p).max() <= 1e-9
