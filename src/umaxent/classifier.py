@@ -1,12 +1,11 @@
 """Building uncertain-MaxEnt problems from black-box classifier outputs.
 
-Both paths are plain channel problems solved by em_solve. Hard labels
-observe the elements through a confusion matrix lifted to Pr(label | X).
-A soft batch makes each output row an observation with
-Pr(row | X) proportional to row(d(X)) / theta(d(X)), theta the training
-prior; EM on that channel is the training-prior replacement correction.
-Neither path ever sees the raw data; only classifier outputs and
-confusion statistics enter.
+Both paths are plain channel problems solved by em_solve, on a LabelChannel:
+a matrix over labels composed with the label map, so no classifier path
+forms an |Omega| x |X| matrix for EM. Hard labels are observed through the
+confusion matrix C^T, and soft batch rows through the training-prior
+correction (classifier_problem). Only classifier outputs and confusion
+statistics enter, never the raw data.
 """
 
 import csv
@@ -17,7 +16,13 @@ import numpy as np
 
 from .em import UMaxEntProblem, e_step, em_solve
 from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
-from .model import Distribution, ElementSpace, EmpiricalObservations, ObservationChannel
+from .model import (
+    Distribution,
+    ElementSpace,
+    EmpiricalObservations,
+    ObservationChannel,
+    is_integer,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +42,9 @@ class LabelMap:
 
     @classmethod
     def from_assignment(cls, assignment, n_labels):
+        for a in assignment:
+            if not is_integer(a) or not 0 <= a < n_labels:
+                raise ValidationError(f"label map entry {a!r} is not a label in [0, {n_labels})")
         d = np.zeros((len(assignment), n_labels))
         d[np.arange(len(assignment)), assignment] = 1.0
         return cls(d)
@@ -71,11 +79,8 @@ class ClassifierProfile:
         object.__setattr__(self, "confusion", confusion)
 
     def lift(self, label_map):
-        """Pr(output label | X) = C[d(X), output label] as an observation channel."""
-        if label_map.n_labels != self.confusion.shape[0]:
-            raise DimensionMismatch("labels", self.confusion.shape[0], label_map.n_labels)
-        matrix = self.confusion[label_map.label_of()].T  # |labels| x |X|
-        return ObservationChannel(matrix)
+        """Pr(output label | X) = C[d(X), output label]: C^T composed with the label map."""
+        return LabelChannel(ObservationChannel(self.confusion.T), label_map)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,13 +158,11 @@ class SoftClassifierBatch:
             raise ValidationError(f"batch CSV {path} rows do not match header width")
         return cls(rows, training_prior)
 
-    def to_csv(self, path, labels=None):
-        labels = labels or [f"xi_{i}" for i in range(self.n_labels)]
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(labels)
-            for row in self.rows:
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerow([f"xi_{i}" for i in range(self.n_labels)])
+            writer.writerows([repr(float(v)) for v in row] for row in self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +209,41 @@ class LabelChannel:
         return self.label_map.d @ self.labels.xlogx_rmatvec(v)
 
 
-def _soft_problem(features, batch, label_map, apply_correction=True):
-    """The soft batch as a channel problem whose observations are the batch rows.
+def soft_e_step(batch, label_map, current, features, apply_correction=True):
+    """E-step from soft classifier outputs with the training-prior correction.
 
-    Row i is observed with Pr(i | X) = r_{i,d(X)} / theta_{d(X)} / c, where
-    c = max_l sum_i r_il / theta_l keeps every column sum at most 1. One last
-    "row not in the batch" observation with no empirical mass takes the rest
-    of each column; it changes neither the posteriors nor the E-step, and the
-    log-likelihood is sum_i w_i log sum_l r_il Pr(l) / theta_l minus log c.
-    Without the correction the observations are the labels themselves, seen
-    through the identity with the batch label marginal as their frequencies.
+    Each row, reweighted by the current model's label marginal over the
+    training prior and renormalized, is mapped through
+    Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averaged over samples:
+    e_step on classifier_problem's soft problem.
     """
-    if apply_correction:
+    return e_step(classifier_problem(features, batch, label_map,
+                                     apply_correction=apply_correction), current)
+
+
+def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
+                       profile=None, apply_correction=True):
+    """The channel problem that classifier outputs define, on a LabelChannel.
+
+    Hard labels (empirical label frequencies and a confusion profile) are
+    observed through C^T. In a soft batch row i is observed with
+    Pr(i | X) = r_{i,d(X)} / theta_{d(X)} / c, where c = max_l sum_i r_il / theta_l
+    keeps every column sum at most 1; one last "row not in the batch"
+    observation with no empirical mass takes the rest of each column. It
+    changes neither the posteriors nor the E-step, and the log-likelihood is
+    sum_i w_i log sum_l r_il Pr(l) / theta_l minus log c. Without the
+    correction the observations are the labels, seen through the identity
+    with the batch label marginal as their frequencies.
+    """
+    if (batch is None) == (empirical_xi is None):
+        raise ValidationError("provide either a soft batch or hard-label empirical data")
+    if label_map is None:
+        raise ValidationError("a label map is required")
+    if batch is None:
+        if profile is None:
+            raise ValidationError("hard-label path needs a classifier profile")
+        channel, observed = profile.lift(label_map), empirical_xi
+    elif apply_correction:
         rows = batch.rows
         theta = batch.training_prior.probs
         bad = np.flatnonzero(np.any((rows > 0) & (theta <= 0), axis=0))
@@ -226,49 +252,13 @@ def _soft_problem(features, batch, label_map, apply_correction=True):
         scaled = np.divide(rows, theta, out=np.zeros_like(rows), where=theta > 0)
         scaled /= scaled.sum(axis=0).max()
         rest = np.maximum(1.0 - scaled.sum(axis=0), 0.0)
-        labels = ObservationChannel(np.vstack([scaled, rest]))
-        observed = np.append(batch.sample_weights, 0.0)
+        channel = LabelChannel(ObservationChannel(np.vstack([scaled, rest])), label_map)
+        observed = Distribution(np.append(batch.sample_weights, 0.0))
     else:
-        labels = ObservationChannel.identity(batch.n_labels)
-        observed = batch.sample_weights @ batch.rows
-    return UMaxEntProblem(
-        ElementSpace(range(features.n_elements)), features,
-        LabelChannel(labels, label_map), EmpiricalObservations(Distribution(observed)),
-    )
-
-
-def soft_e_step(batch, label_map, current, features, apply_correction=True):
-    """E-step from soft classifier outputs with the training-prior correction.
-
-    Each row, reweighted by the current model's label marginal over the
-    training prior and renormalized, is mapped through
-    Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averaged over samples.
-    This is e_step on the problem classifier_em_solve solves, so a row whose
-    labels own no element is rejected like any observation no element produces.
-    """
-    problem = _soft_problem(features, batch, label_map, apply_correction)
-    return e_step(problem, current)
-
-
-def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
-                       profile=None, apply_correction=True):
-    """The channel problem that classifier outputs define.
-
-    Soft path when a batch is given, hard-label path when empirical label
-    frequencies plus a confusion profile are given.
-    """
-    if (batch is None) == (empirical_xi is None):
-        raise ValidationError("provide either a soft batch or hard-label empirical data")
-    if label_map is None:
-        raise ValidationError("a label map is required")
-    if batch is not None:
-        return _soft_problem(features, batch, label_map, apply_correction)
-    if profile is None:
-        raise ValidationError("hard-label path needs a classifier profile")
-    return UMaxEntProblem(
-        ElementSpace(range(features.n_elements)), features, profile.lift(label_map),
-        EmpiricalObservations(empirical_xi),
-    )
+        channel = LabelChannel(ObservationChannel.identity(batch.n_labels), label_map)
+        observed = Distribution(batch.sample_weights @ batch.rows)
+    return UMaxEntProblem(ElementSpace(range(features.n_elements)), features, channel,
+                          EmpiricalObservations(observed))
 
 
 def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,

@@ -51,6 +51,8 @@ def _em_config(loaded, args):
 def _mode_problem(loaded, args):
     """The channel problem that --mode solves."""
     problem = loaded.problem
+    if args.ablate_correction and (args.mode != "classifier" or loaded.batch_csv is None):
+        raise ValidationError("--ablate-correction needs --mode classifier on a soft batch")
     if args.mode == "standard":
         induced_empirical_x(problem)  # raises unless the column supports are disjoint
     if args.mode != "classifier":
@@ -88,16 +90,8 @@ def _solve_loaded(loaded, args, config):
 
 
 def cmd_generate(args):
-    spec = SyntheticSpec(
-        n_elements=args.elements,
-        n_observations=args.observations,
-        n_features=args.features,
-        lambda_range=args.lambda_range,
-        epsilon=args.epsilon,
-        n_samples=args.samples,
-        seed=args.seed if args.seed is not None else 0,
-    )
-    doc, sidecar = generate(spec)
+    fields = dataclasses.fields(SyntheticSpec)
+    doc, sidecar = generate(SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json(doc, out / f"{args.name}.json")
@@ -112,25 +106,33 @@ def cmd_solve(args):
     return EXIT_OK if result["converged"] else EXIT_MAX_ITER
 
 
+def _read_truth(path, n_features):
+    """The truth sidecar's feature expectations and exact_marginal flag, checked."""
+    sidecar = json.loads(Path(path).read_text())
+    keys = ("lambda_true", "feature_expectations_true")
+    if not isinstance(sidecar, dict) or not set(keys) <= sidecar.keys():
+        raise ValidationError("truth sidecar needs lambda_true and feature_expectations_true")
+    try:
+        lam_true, e_true = (np.asarray(sidecar[key], dtype=float) for key in keys)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed truth sidecar: {' '.join(str(exc).split())}") from exc
+    if lam_true.shape != (n_features,) or e_true.shape != (n_features,):
+        raise ValidationError("truth sidecar does not match the problem")
+    return e_true, bool(sidecar.get("exact_marginal", False))
+
+
 def cmd_check(args):
     loaded = load_problem(args.problem)
-    with open(args.truth) as fh:
-        sidecar = json.load(fh)
     problem = loaded.problem
-    if len(sidecar.get("lambda_true", [])) != problem.features.n_features:
-        print("truth sidecar does not match the problem", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    e_true, exact_marginal = _read_truth(args.truth, problem.features.n_features)
     config = _em_config(loaded, args)
     result = _solve_loaded(loaded, args, config)
-    e_true = np.asarray(sidecar["feature_expectations_true"])
-    dist = Distribution(np.asarray(result["pr_x"]))
-    e_solved = feature_expectation(dist, problem.features)
+    e_solved = feature_expectation(Distribution(result["pr_x"]), problem.features)
     report = {
         "expectation_error": float(np.abs(e_solved - e_true).max()),
         "residual": result["residual"],
         "converged": result["converged"],
-        "exact_marginal": bool(sidecar.get("exact_marginal", False)),
+        "exact_marginal": exact_marginal,
     }
     if has_disjoint_column_supports(problem.channel):
         report["standard_reduction"] = dataclasses.asdict(
@@ -186,34 +188,30 @@ def build_parser():
         p.add_argument("--out", default=".")
 
     gen = sub.add_parser("generate", help="emit a synthetic problem plus truth sidecar")
-    gen.add_argument("--elements", type=int, required=True)
-    gen.add_argument("--observations", type=int, required=True)
-    gen.add_argument("--features", type=int, required=True)
+    gen.add_argument("--elements", dest="n_elements", type=int, required=True)
+    gen.add_argument("--observations", dest="n_observations", type=int, required=True)
+    gen.add_argument("--features", dest="n_features", type=int, required=True)
     gen.add_argument("--lambda-range", type=float, default=1.0)
     gen.add_argument("--epsilon", type=float, default=0.2)
-    gen.add_argument("--samples", type=int, default=None,
+    gen.add_argument("--samples", dest="n_samples", type=int, default=None,
                      help="sample count; omit for the exact marginal")
     gen.add_argument("--name", default="problem")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
     gen.set_defaults(func=cmd_generate)
 
-    slv = sub.add_parser("solve", help="solve a problem file")
-    slv.add_argument("problem")
-    slv.add_argument("--mode", choices=["umaxent", "standard", "classifier"],
-                     default="umaxent")
-    slv.add_argument("--ablate-correction", action="store_true")
-    common(slv)
-    slv.set_defaults(func=cmd_solve)
+    def solving(name, func, help_text, *positionals):
+        p = sub.add_parser(name, help=help_text)
+        for positional in ("problem", *positionals):
+            p.add_argument(positional)
+        p.add_argument("--mode", choices=["umaxent", "standard", "classifier"], default="umaxent")
+        p.add_argument("--ablate-correction", action="store_true",
+                       help="classifier mode on a soft batch: no training-prior correction")
+        common(p)
+        p.set_defaults(func=func)
 
-    chk = sub.add_parser("check", help="solve and compare against a truth sidecar")
-    chk.add_argument("problem")
-    chk.add_argument("truth")
-    chk.add_argument("--mode", choices=["umaxent", "standard", "classifier"],
-                     default="umaxent")
-    chk.add_argument("--ablate-correction", action="store_true")
-    common(chk)
-    chk.set_defaults(func=cmd_check)
+    solving("solve", cmd_solve, "solve a problem file")
+    solving("check", cmd_check, "solve and compare against a truth sidecar", "truth")
 
     red = sub.add_parser("reduce", help="run the reduction verifiers")
     red.add_argument("problem")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTarget
-from .model import Weights, log_linear
+from .model import Weights, is_integer, log_linear
 
 # Feasibility slack for the per-coordinate bounds check.
 _FEASIBILITY_EPS = 1e-9
@@ -51,8 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not is_integer(self.max_iter) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, not {self.max_iter!r}")
         if not self.divergence_guard > 0:
             raise ValueError("divergence_guard must be positive")
 

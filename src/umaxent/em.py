@@ -33,6 +33,7 @@ from .model import (
     FeatureTable,
     ObservationChannel,
     Weights,
+    is_integer,
     log_linear,
     log_partition,
 )
@@ -82,6 +83,9 @@ class EmConfig:
     def __post_init__(self):
         if not self.lambda_tol > 0:
             raise ValueError("lambda_tol must be positive")
+        for name in ("max_em_iter", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.max_em_iter < 0:
             raise ValueError("max_em_iter must be nonnegative")
         if self.init_mode not in ("zero", "random", "prior"):

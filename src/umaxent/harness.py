@@ -23,6 +23,7 @@ from .model import (
     ObservationChannel,
     Weights,
     feature_expectation,
+    is_integer,
     log_linear_distribution,
     observation_marginal,
 )
@@ -124,7 +125,7 @@ def load_problem(doc):
             batch_csv = cls.get("batch_csv")
 
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not is_integer(seed):
         raise ValidationError(f"malformed seed: {seed!r} is not an integer")
     return LoadedProblem(
         problem=problem,

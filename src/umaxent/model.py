@@ -7,6 +7,7 @@ nothing here overflows or underflows at desk scale.
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -14,6 +15,11 @@ from .errors import DimensionMismatch, ValidationError
 
 # Constructors accept this much normalization drift and renormalize exactly.
 NORMALIZATION_SLACK = 1e-9
+
+
+def is_integer(value):
+    """An int or a numpy integer; a bool or a float is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _as_float_array(values, name, ndim):

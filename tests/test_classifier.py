@@ -20,6 +20,7 @@ from umaxent import (
     ZeroTrainingPrior,
     classifier_em_solve,
     e_step,
+    em_solve,
     feature_expectation,
     is_deterministic_channel,
     latent_constraint_rhs,
@@ -29,7 +30,7 @@ from umaxent import (
     soft_e_step,
     solve_standard_maxent,
 )
-from umaxent.classifier import LabelChannel, _soft_problem, classifier_problem
+from umaxent.classifier import LabelChannel, classifier_problem
 from umaxent.em import evaluate
 from umaxent.reductions import (
     has_disjoint_column_supports,
@@ -52,10 +53,18 @@ def test_label_map_requires_deterministic_rows():
     assert list(lm.label_of()) == [1, 0, 1]
 
 
+@pytest.mark.parametrize("assignment", [[-1, 0], [True, False], [0.0, 1.0], [0, 2]],
+                         ids=["negative", "bool", "float", "past-last-label"])
+def test_label_map_entries_are_label_indices(assignment):
+    with pytest.raises(ValidationError, match="label map entry"):
+        LabelMap.from_assignment(assignment, 2)
+
+
 def test_profile_lift_builds_channel():
     confusion = np.array([[0.9, 0.1], [0.2, 0.8]])
     lm = LabelMap.from_assignment([0, 1, 1], 2)
     channel = ClassifierProfile(confusion).lift(lm)
+    assert isinstance(channel, LabelChannel)
     # Pr(xi | X) columns follow the true label of each element
     assert np.allclose(channel.matrix[:, 0], confusion[0])
     assert np.allclose(channel.matrix[:, 1], confusion[1])
@@ -311,7 +320,7 @@ def test_classifier_em_soft_prior_init_starts_from_prior_e_step():
     prior = Distribution(rng.dirichlet(np.ones(6)))
     config = EmConfig(init_mode="prior", prior=prior, max_em_iter=2)
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm, config=config)
-    expected = e_step(_soft_problem(feat, batch, lm), None, model=prior).phi_hat
+    expected = e_step(classifier_problem(feat, batch, lm), None, model=prior).phi_hat
     assert np.max(np.abs(trace.rows[0].phi_hat - expected)) <= 1e-14
     _, zero = classifier_em_solve(feat, batch=batch, label_map=lm,
                                   config=EmConfig(max_em_iter=2))
@@ -329,7 +338,7 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
     rows[:, 0] += 0.1
     batch = SoftClassifierBatch(rows / rows.sum(axis=1, keepdims=True),
                                 Distribution([0.1, 0.2, 0.3, 0.4]))
-    factored = _soft_problem(feat, batch, lm, apply_correction)
+    factored = classifier_problem(feat, batch, lm, apply_correction=apply_correction)
     labels = factored.channel.labels.matrix
     assert np.allclose(labels.sum(axis=0), 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(factored.channel.matrix, labels @ lm.d.T)
@@ -393,6 +402,63 @@ def test_classifier_em_hard_path_runs():
     lam, trace = classifier_em_solve(feat, empirical_xi=emp, label_map=lm,
                                      profile=profile, config=EmConfig(max_em_iter=200))
     assert trace.converged
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hard_label_channel_matches_the_dense_lift(seed):
+    # the label-level channel against the dense |labels| x |X| lift it replaced
+    rng = np.random.default_rng(100 + seed)
+    n, labels = rng.integers(3, 12), rng.integers(2, 6)
+    lm = LabelMap.from_assignment(rng.integers(0, labels, size=n), labels)
+    confusion = rng.dirichlet(np.ones(labels) * 0.5, size=labels)
+    confusion = 0.5 * np.eye(labels) + 0.5 * confusion
+    profile = ClassifierProfile(confusion)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(2, n)))
+    emp = Distribution(rng.dirichlet(np.ones(labels)))
+    factored = classifier_problem(feat, empirical_xi=emp, label_map=lm, profile=profile)
+    dense = UMaxEntProblem(factored.space, feat,
+                           ObservationChannel(profile.confusion[lm.label_of()].T),
+                           EmpiricalObservations(emp))
+    assert np.array_equal(factored.channel.matrix, dense.channel.matrix)
+    lam_f, trace_f = em_solve(factored)
+    lam_d, trace_d = em_solve(dense)
+    assert len(trace_f) == len(trace_d)
+    assert trace_f.termination == trace_d.termination
+    tv = 0.5 * np.abs(log_linear_distribution(lam_f, feat).probs
+                      - log_linear_distribution(lam_d, feat).probs).sum()
+    assert tv <= 1e-12
+
+
+def budget_problems():
+    """One fixed soft batch, its ablation and one hard-label problem on 8 elements."""
+    rng = np.random.default_rng(31)
+    feat = FeatureTable(rng.uniform(-2, 2, size=(3, 8)))
+    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 1, 2, 3], 4)
+    batch = SoftClassifierBatch(rng.dirichlet(np.ones(4), size=60),
+                                Distribution([0.1, 0.2, 0.3, 0.4]))
+    profile = ClassifierProfile(0.7 * np.eye(4) + 0.3 / 4)
+    emp = Distribution(rng.dirichlet(np.ones(4) * 3))
+    return {
+        "soft": dict(batch=batch),
+        "ablated": dict(batch=batch, apply_correction=False),
+        "hard": dict(empirical_xi=emp, profile=profile),
+    }, feat, lm
+
+
+# EM iterations measured when these bounds were set (soft 154, ablated 107,
+# hard 172), plus a 10% margin rounded up. A change that needs more EM
+# iterations on these problems fails here; never raise a bound to pass.
+EM_ITERATION_BUDGET = {"soft": 170, "ablated": 118, "hard": 190}
+
+
+@pytest.mark.parametrize("path", sorted(EM_ITERATION_BUDGET))
+def test_classifier_em_iteration_budget(path):
+    problems, feat, lm = budget_problems()
+    problem = classifier_problem(feat, label_map=lm, **problems[path])
+    assert isinstance(problem.channel, LabelChannel)
+    _, trace = em_solve(problem)
+    assert trace.termination == "residual"
+    assert trace.rows[-1].iteration <= EM_ITERATION_BUDGET[path]
 
 
 def test_batch_csv_roundtrip(tmp_path):

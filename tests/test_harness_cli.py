@@ -178,11 +178,20 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d.update(em={"lambda_tol": float("nan")}),
     lambda d: d.update(solver={"divergence_guard": -1.0}),
     lambda d: d.update(solver={"divergence_guard": float("nan")}),
+    lambda d: d.update(solver={"max_iter": 1.5}),
+    lambda d: d.update(em={"seed": 1.5, "init_mode": "random"}),
+    lambda d: d.update(em={"max_em_iter": 2.5}),
+    lambda d: d.update(em={"max_em_iter": True}),
+    lambda d: d.update(classifier={"labels": ["l0", "l1"], "label_map": [-1, 0, 1]}),
+    lambda d: d.update(classifier={"labels": ["l0", "l1", "l2"],
+                                   "label_map": [True, False, False]}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
         "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter",
         "removed-zero-marginal-key", "float-seed", "bool-seed", "string-seed", "nan-grad-tol",
-        "nan-lambda-tol", "negative-divergence-guard", "nan-divergence-guard"])
+        "nan-lambda-tol", "negative-divergence-guard", "nan-divergence-guard",
+        "float-max-iter", "float-em-seed", "float-max-em-iter", "bool-max-em-iter",
+        "negative-label-map-entry", "bool-label-map"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -349,6 +358,18 @@ def test_cli_check_mismatched_sidecar(tmp_path, capsys):
     assert "sidecar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sidecar", [[0.1, 0.2], {"lambda_true": [0.1, 0.2]}],
+                         ids=["list", "no-expectations"])
+def test_cli_check_malformed_sidecar_is_validation_error(tmp_path, capsys, sidecar):
+    problem, truth = write_problem(tmp_path, seed=18)
+    truth.write_text(json.dumps(sidecar))
+    code = main(["check", str(problem), str(truth), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: truth sidecar needs lambda_true and feature_expectations_true\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reduce_deterministic_channel(tmp_path):
     problem, _ = write_problem(tmp_path, epsilon=0.0, seed=19)
     code = main(["reduce", str(problem), "--out", str(tmp_path)])
@@ -469,8 +490,8 @@ def test_cli_classifier_mode_requires_block(tmp_path, capsys):
     assert "classifier" in capsys.readouterr().err
 
 
-def test_cli_classifier_hard_profile_path(tmp_path):
-    doc = {
+def hard_problem_doc():
+    return {
         "elements": ["x0", "x1", "x2"],
         "features": {"names": ["f0", "f1"],
                      "values": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]},
@@ -484,10 +505,31 @@ def test_cli_classifier_hard_profile_path(tmp_path):
         },
         "seed": 0,
     }
+
+
+def test_cli_classifier_hard_profile_path(tmp_path):
     problem = tmp_path / "hard.json"
-    dump_json(doc, problem)
+    dump_json(hard_problem_doc(), problem)
     code = main(["solve", str(problem), "--mode", "classifier",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
     result = json.loads((tmp_path / "hard_result.json").read_text())
     assert result["converged"]
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("solve", "umaxent"), ("solve", "standard"), ("solve", "classifier"), ("check", "classifier"),
+])
+def test_cli_ablate_correction_needs_a_soft_batch(tmp_path, capsys, command, mode):
+    # the flag changes only the soft-batch problem; elsewhere it is a usage error
+    problem = tmp_path / "hard.json"
+    dump_json(hard_problem_doc(), problem)
+    truth = tmp_path / "hard_truth.json"
+    dump_json({"lambda_true": [0.0, 0.0], "feature_expectations_true": [0.5, 0.5]}, truth)
+    paths = [str(problem), str(truth)] if command == "check" else [str(problem)]
+    code = main([command, *paths, "--mode", mode, "--ablate-correction",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: --ablate-correction needs --mode classifier on a soft batch\n"
+    assert not (tmp_path / "out").exists()
