@@ -1,15 +1,21 @@
 """Problem-file I/O and synthetic ground-truth generation.
 
 Problem files are JSON with explicit matrices (row-major nested arrays);
-every module invariant is re-validated on load. All randomness flows from
-a single seed.
+every module invariant is re-validated on load. A file is decoded row by
+row: each flat array of decimal-point numbers (a channel, feature or
+empirical row) is parsed by orjson straight into a float64 row, so loading a
+large channel never holds one Python float per entry. All randomness flows
+from a single seed.
 """
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.decoder import JSONArray
+from json.scanner import py_make_scanner
 
 import numpy as np
+import orjson
 
 from .classifier import ClassifierProfile, LabelMap
 from .dual import SolverConfig
@@ -63,6 +69,46 @@ def problem_to_dict(problem, seed=0):
     return doc
 
 
+def _parse_array(s_and_end, scan_once):
+    """The stdlib array parser, except that a flat array of decimal-point numbers
+    becomes a float64 row parsed by orjson.
+
+    The text from "[" to the first "]" is tried as a whole array: if it parses,
+    it holds no nested array and no unterminated string, so that "]" closes the
+    "[". With no string in it, one "." per item proves every item a number with
+    a decimal point, which the stdlib makes a float. Any other array (empty, or
+    holding a string, object, int, bool, null, exponent-only number such as
+    1e-05, or non-finite literal) goes to the stdlib parser, with its types and
+    errors. orjson parses floats correctly rounded, as the stdlib does, so the
+    row is bit-identical to the stdlib's floats.
+    """
+    s, end = s_and_end
+    close = s.find("]", end)
+    if close != -1 and s.find('"', end, close) == -1:
+        try:
+            items = orjson.loads(s[end - 1:close + 1])
+        except orjson.JSONDecodeError:
+            items = None
+        if items and s.count(".", end, close) == len(items):
+            return np.array(items, dtype=float), close + 1
+    return JSONArray(s_and_end, scan_once)
+
+
+class _RowDecoder(json.JSONDecoder):
+    """json.JSONDecoder with float rows decoded by _parse_array. The C scanner
+    ignores parse_array, so this runs the stdlib's pure-Python scanner."""
+
+    def __init__(self):
+        super().__init__()
+        self.parse_array = _parse_array
+        self.scan_once = py_make_scanner(self)
+
+
+def _plain(values):
+    """Labels and names as the stdlib decoder gives them: a float row as a list."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 @contextmanager
 def _block(name):
     """Re-raise a malformed block's conversion errors as one-line ValidationErrors."""
@@ -75,17 +121,25 @@ def _block(name):
 
 
 def load_problem(doc):
-    """Build a LoadedProblem from a parsed JSON document, re-validating everything."""
+    """Build a LoadedProblem from a problem file's path or a parsed JSON document,
+    re-validating everything.
+
+    A path is decoded with the stdlib json parser, except that every flat array
+    of decimal-point numbers becomes a float64 ndarray parsed by orjson,
+    bit-identical to the stdlib's floats; every other value keeps the stdlib's
+    types and errors (_parse_array). A dict is used as it is.
+    """
     if isinstance(doc, str):
         with open(doc) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, cls=_RowDecoder)
     with _block("elements"):
-        space = ElementSpace(doc["elements"])
+        space = ElementSpace(_plain(doc["elements"]))
     with _block("features"):
-        features = FeatureTable(doc["features"]["values"], doc["features"].get("names"))
+        features = FeatureTable(doc["features"]["values"],
+                                _plain(doc["features"].get("names")))
     with _block("channel"):
         channel = ObservationChannel(
-            doc["channel"]["matrix"], doc["channel"].get("observations")
+            doc["channel"]["matrix"], _plain(doc["channel"].get("observations"))
         )
     with _block("empirical"):
         emp = doc["empirical"]
@@ -110,14 +164,15 @@ def load_problem(doc):
         with _block("latent"):
             lat = doc["latent"]
             embed = {(int(y), int(z)): int(x) for y, z, x in lat["embed"]}
-            factorization = LatentFactorization(lat["y"], lat["z"], embed, space.size)
+            factorization = LatentFactorization(_plain(lat["y"]), _plain(lat["z"]), embed,
+                                                space.size)
 
     label_map = profile = training_prior = None
     batch_csv = None
     if "classifier" in doc:
         with _block("classifier"):
             cls = doc["classifier"]
-            label_map = LabelMap.from_assignment(cls["label_map"], len(cls["labels"]))
+            label_map = LabelMap.from_assignment(_plain(cls["label_map"]), len(cls["labels"]))
             if "confusion" in cls:
                 profile = ClassifierProfile(cls["confusion"])
             if "training_prior" in cls:

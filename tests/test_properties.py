@@ -12,9 +12,12 @@ from umaxent import (
     EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
+    SyntheticSpec,
     UMaxEntProblem,
     Weights,
     em_solve,
+    generate,
+    load_problem,
     log_linear_distribution,
 )
 from umaxent.em import evaluate
@@ -136,3 +139,26 @@ def test_em_solve_ignores_a_constant_feature(case, c):
     p = fitted(values, channel, tilde, config)
     p_const = fitted(np.vstack([values, np.full(values.shape[1], c)]), channel, tilde, config)
     assert np.abs(p_const - p).max() <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 3), st.integers(1, 3), st.floats(0.0, 0.2),
+       st.floats(0.2, 5.0), st.integers(0, 2**16))
+def test_em_solve_scaling_features_scales_weights(n, extra, k, eps, c, seed):
+    # Multiplying every feature by c > 0 leaves the model family, and so the MLE,
+    # unchanged, and maps lambda to lambda / c. The truth is an interior MLE
+    # that affinely independent features (k < n) identify. In 3000 random
+    # draws of this space EM took at most 422 iterations; the TV distance
+    # reached 5.6e-7 and |c lambda_c - lambda|_inf / (1 + |lambda|_inf) 9.6e-5.
+    doc, _ = generate(SyntheticSpec(n, n + extra, min(k, n - 1), epsilon=eps, seed=seed))
+    problem = load_problem(doc).problem
+    scaled = UMaxEntProblem(problem.space, FeatureTable(c * problem.features.values),
+                            problem.channel, problem.empirical)
+    config = EmConfig(lambda_tol=1e-8, max_em_iter=2000)
+    lam, trace = em_solve(problem, config)
+    lam_c, trace_c = em_solve(scaled, config)
+    assert trace.converged and trace_c.converged
+    p = log_linear_distribution(lam, problem.features).probs
+    p_c = log_linear_distribution(lam_c, scaled.features).probs
+    assert 0.5 * np.abs(p - p_c).sum() <= 1e-5
+    assert np.abs(c * lam_c.lam - lam.lam).max() <= 1e-3 * (1 + np.abs(lam.lam).max())
