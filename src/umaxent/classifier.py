@@ -63,39 +63,42 @@ class LabelMap:
 
 @dataclass(frozen=True, eq=False)
 class ClassifierProfile:
-    """Row-stochastic confusion matrix C[true_label, output_label]."""
+    """Row-stochastic confusion matrix C[true_label, output_label].
+
+    Its rows are checked once, as the columns of the channel C^T built here
+    (ObservationChannel's range and NORMALIZATION_SLACK rules); confusion
+    keeps the input as given.
+    """
 
     confusion: np.ndarray
+    channel: ObservationChannel
 
     def __init__(self, confusion):
         confusion = np.asarray(confusion, dtype=float)
         if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
             raise ValidationError("confusion matrix must be square")
-        if np.any(confusion < 0) or np.any(confusion > 1):
-            raise ValidationError("confusion entries must lie in [0, 1]")
-        if not np.allclose(confusion.sum(axis=1), 1.0, atol=1e-9):
-            raise ValidationError("confusion rows must sum to 1")
+        channel = ObservationChannel(confusion.T)
         confusion.setflags(write=False)
         object.__setattr__(self, "confusion", confusion)
+        object.__setattr__(self, "channel", channel)
 
     def lift(self, label_map):
         """Pr(output label | X) = C[d(X), output label]: C^T composed with the label map."""
-        return LabelChannel(ObservationChannel(self.confusion.T), label_map)
+        return LabelChannel(self.channel, label_map)
 
 
 @dataclass(frozen=True, eq=False)
 class SoftClassifierBatch:
     """Per-sample classifier output distributions plus the training prior.
 
-    rows: N x |labels|, each row a distribution over labels; sample_weights
-    default to uniform 1/N.
+    rows: N x |labels|, each row a distribution over labels. Every sample
+    weighs the same, 1/N (sample_weights).
     """
 
     rows: np.ndarray
     training_prior: Distribution
-    sample_weights: np.ndarray = None
 
-    def __init__(self, rows, training_prior, sample_weights=None):
+    def __init__(self, rows, training_prior):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValidationError("batch must be a non-empty matrix")
@@ -115,20 +118,9 @@ class SoftClassifierBatch:
             rows[drift] = rows[drift] / sums[drift, None]
         if len(training_prior) != rows.shape[1]:
             raise DimensionMismatch("labels", rows.shape[1], len(training_prior))
-        if sample_weights is None:
-            sample_weights = np.full(rows.shape[0], 1.0 / rows.shape[0])
-        else:
-            sample_weights = np.asarray(sample_weights, dtype=float)
-            if (sample_weights.shape != (rows.shape[0],) or np.any(sample_weights < 0)
-                    or not np.all(np.isfinite(sample_weights)) or sample_weights.sum() <= 0):
-                raise ValidationError("sample weights must be a finite nonnegative "
-                                      "length-N vector with a positive total")
-            sample_weights = sample_weights / sample_weights.sum()
         rows.setflags(write=False)
-        sample_weights.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "training_prior", training_prior)
-        object.__setattr__(self, "sample_weights", sample_weights)
 
     @property
     def n_samples(self):
@@ -137,6 +129,13 @@ class SoftClassifierBatch:
     @property
     def n_labels(self):
         return self.rows.shape[1]
+
+    @property
+    def sample_weights(self):
+        """The uniform weight 1/N of every sample, read-only."""
+        weights = np.full(self.n_samples, 1.0 / self.n_samples)
+        weights.setflags(write=False)
+        return weights
 
     @classmethod
     def from_csv(cls, path, training_prior):

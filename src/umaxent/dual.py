@@ -20,6 +20,9 @@ _FEASIBILITY_EPS = 1e-9
 _SUFFICIENT_DECREASE = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-18
+# A solve stops, reported diverged, once some |lambda_k| passes this bound:
+# a boundary or exterior target drives the weights toward infinity.
+_DIVERGENCE_GUARD = 1e3
 # Rounding error of a computed dual value relative to the size of its terms:
 # a few units in the last place each for the log-sum-exp and the inner product.
 _ROUNDING = 16 * np.finfo(float).eps
@@ -46,15 +49,12 @@ class TargetExpectations:
 class SolverConfig:
     grad_tol: float = 1e-8
     max_iter: int = 10_000
-    divergence_guard: float = 1e3
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if not is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, not {self.max_iter!r}")
-        if not self.divergence_guard > 0:
-            raise ValueError("divergence_guard must be positive")
 
 
 @dataclass
@@ -141,8 +141,9 @@ def minimize_dual(target, features, init=None, config=None):
 
     Converged means the gradient sup-norm (equivalently the constraint
     residual) dropped below config.grad_tol. Boundary or exterior targets
-    show up as the divergence guard tripping or max_iter running out;
-    the best iterate seen is returned either way.
+    show up as some |lambda_k| passing _DIVERGENCE_GUARD (1e3), which stops
+    the solve diverged, or as config.max_iter running out; the best iterate
+    seen is returned either way.
     """
     config = config or SolverConfig()
     _check(target, features)
@@ -158,7 +159,7 @@ def minimize_dual(target, features, init=None, config=None):
         gnorm = np.abs(grad).max()
         if gnorm <= config.grad_tol:
             return SolverResult(Weights(lam), f, gnorm, iterations - 1, True)
-        if np.abs(lam).max() > config.divergence_guard:
+        if np.abs(lam).max() > _DIVERGENCE_GUARD:
             return SolverResult(
                 Weights(best_lam),
                 best_f,
@@ -166,7 +167,7 @@ def minimize_dual(target, features, init=None, config=None):
                 iterations - 1,
                 False,
                 diverged=True,
-                message=f"some |lambda_k| exceeded the divergence guard {config.divergence_guard}",
+                message=f"some |lambda_k| exceeded the divergence guard {_DIVERGENCE_GUARD}",
             )
 
         # f is log Z - lambda.phi_hat; its rounding error scales with both terms.
@@ -189,6 +190,6 @@ def minimize_dual(target, features, init=None, config=None):
         return SolverResult(Weights(lam), f, gnorm, iterations, True)
     return SolverResult(
         Weights(best_lam), best_f, gnorm, iterations, False,
-        diverged=bool(np.abs(best_lam).max() > config.divergence_guard),
+        diverged=bool(np.abs(best_lam).max() > _DIVERGENCE_GUARD),
         message="max_iter exceeded",
     )

@@ -4,11 +4,12 @@ Problem files are JSON with explicit matrices (row-major nested arrays);
 every module invariant is re-validated on load. A file is decoded row by
 row: each flat array of decimal-point numbers (a channel, feature or
 empirical row) is parsed by orjson straight into a float64 row, so loading a
-large channel never holds one Python float per entry. All randomness flows
-from a single seed.
+large channel never holds one Python float per entry. generate draws all its
+randomness from the spec's seed and records it as the file's top-level seed.
 """
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from json.decoder import JSONArray
@@ -121,17 +122,21 @@ def _block(name):
 
 
 def load_problem(doc):
-    """Build a LoadedProblem from a problem file's path or a parsed JSON document,
-    re-validating everything.
+    """Build a LoadedProblem from a problem file's path (str or os.PathLike) or a
+    parsed JSON document, re-validating everything.
 
     A path is decoded with the stdlib json parser, except that every flat array
     of decimal-point numbers becomes a float64 ndarray parsed by orjson,
     bit-identical to the stdlib's floats; every other value keeps the stdlib's
-    types and errors (_parse_array). A dict is used as it is.
+    types and errors (_parse_array). A file nested too deeply for the decoder's
+    recursion is a ValidationError. A dict is used as it is.
     """
-    if isinstance(doc, str):
+    if isinstance(doc, (str, os.PathLike)):
         with open(doc) as fh:
-            doc = json.load(fh, cls=_RowDecoder)
+            try:
+                doc = json.load(fh, cls=_RowDecoder)
+            except RecursionError as exc:
+                raise ValidationError(f"problem file {doc} nests too deeply to decode") from exc
     with _block("elements"):
         space = ElementSpace(_plain(doc["elements"]))
     with _block("features"):

@@ -200,24 +200,22 @@ class ObservationChannel:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalObservations:
-    """Empirical distribution over observations, from counts or given exactly."""
+    """Empirical distribution over observations, from counts or given exactly
+    (one of the two)."""
 
     dist: Distribution
     counts: np.ndarray = None
 
     def __init__(self, dist=None, counts=None):
+        if (dist is None) == (counts is None):
+            raise ValidationError("need counts or an exact distribution, one but not both")
         if counts is not None:
             counts = np.asarray(counts)
             if counts.ndim != 1 or np.any(counts < 0) or counts.sum() <= 0:
                 raise ValidationError("counts must be a nonnegative vector with positive total")
-            from_counts = Distribution(counts / counts.sum())
-            if dist is not None and not np.allclose(dist.probs, from_counts.probs, atol=1e-12):
-                raise ValidationError("given distribution does not match normalized counts")
-            dist = from_counts
+            dist = Distribution(counts / counts.sum())
             counts = counts.copy()
             counts.setflags(write=False)
-        if dist is None:
-            raise ValidationError("need counts or an exact distribution")
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "counts", counts)
 

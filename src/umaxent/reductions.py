@@ -25,6 +25,9 @@ from .model import (
     log_linear_distribution,
 )
 
+# A posterior entry this close to 0 or 1 counts as a point-mass entry.
+_POINT_MASS_ATOL = 1e-12
+
 
 @dataclass
 class DeterminismReport:
@@ -55,15 +58,14 @@ def has_disjoint_column_supports(channel):
     return _at_most_one_per_row(_support(channel)[0], channel.n_observations)
 
 
-def is_deterministic_channel(channel, model, atol=1e-12):
+def is_deterministic_channel(channel, model):
     """Test whether each observation pins down a single element.
 
     Checks that every posterior under the given model is a point mass
-    (entries within atol of 0 or 1); observations with zero marginal are
-    vacuous. Also reports whether the channel's column supports are
-    disjoint, in which case the property holds for every model.
-    Only the nonzero channel entries are visited: the others give
-    posterior 0.
+    (entries within _POINT_MASS_ATOL of 0 or 1); observations with zero
+    marginal are vacuous. Also reports whether the channel's column supports
+    are disjoint, in which case the property holds for every model. Only the
+    nonzero channel entries are visited: the others give posterior 0.
     """
     rows, cols, v = _support(channel)
     p = model.probs
@@ -71,7 +73,7 @@ def is_deterministic_channel(channel, model, atol=1e-12):
     disjoint = _at_most_one_per_row(rows, channel.n_observations)
     live = marg[rows] > 0
     post = v[live] * p[cols[live]] / marg[rows[live]]
-    point_mass = bool(np.all((post < atol) | (np.abs(post - 1.0) < atol)))
+    point_mass = bool(np.all(np.minimum(post, np.abs(post - 1.0)) < _POINT_MASS_ATOL))
     return DeterminismReport(point_mass, disjoint)
 
 

@@ -181,6 +181,7 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d.update(seed="7"),
     lambda d: d.update(solver={"grad_tol": float("nan")}),
     lambda d: d.update(em={"lambda_tol": float("nan")}),
+    # divergence_guard is a fixed bound, not a key: any value is malformed
     lambda d: d.update(solver={"divergence_guard": -1.0}),
     lambda d: d.update(solver={"divergence_guard": float("nan")}),
     lambda d: d.update(solver={"max_iter": 1.5}),
@@ -241,6 +242,21 @@ def test_cli_solve_undecodable_file_is_validation_error(tmp_path, capsys, edit):
     assert capsys.readouterr().err == f"error: {stdlib.value}\n"
 
 
+@pytest.mark.parametrize("depth", [2000, 100000])
+def test_cli_solve_deeply_nested_file_is_validation_error(tmp_path, capsys, depth):
+    # the decoder recurses per nesting level; past the recursion limit the
+    # file is malformed, reported in one line, not a RecursionError
+    problem, _ = write_problem(tmp_path, seed=12)
+    text = problem.read_text().rstrip()[:-1] + ', "notes": ' + "[" * depth + "]" * depth + "}"
+    problem.write_text(text)
+    with pytest.raises(ValidationError, match="nests too deeply"):
+        load_problem(str(problem))
+    assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def load_outcome(source):
     """What load_problem makes of a path or a document: the error, or the bits of
     every array and the type and repr of every label."""
@@ -256,6 +272,12 @@ def load_outcome(source):
     return ([None if a is None else (a.dtype, a.shape, a.tolist() if a.dtype == object
                                       else a.view(np.int64).tolist()) for a in arrays],
             [[(type(x), repr(x)) for x in seq] for seq in labels])
+
+
+def test_load_problem_accepts_a_path_object(tmp_path):
+    problem, _ = write_problem(tmp_path, seed=12)
+    assert load_outcome(problem) == load_outcome(str(problem))
+    assert isinstance(load_outcome(problem)[0], list)
 
 
 def assert_file_loads_as_json_load(path, text):
@@ -670,6 +692,27 @@ def hard_problem_doc():
         },
         "seed": 0,
     }
+
+
+def test_confusion_rows_are_checked_once_with_the_channel_slack(tmp_path, capsys):
+    # a confusion row is a column of the channel C^T, so NORMALIZATION_SLACK
+    # (1e-9) is the one rule, at load and at solve time alike
+    doc = hard_problem_doc()
+    doc["classifier"]["confusion"][0][0] += 5e-10
+    problem = tmp_path / "hard.json"
+    dump_json(doc, problem)
+    assert load_problem(str(problem)).profile is not None
+    assert main(["solve", str(problem), "--mode", "classifier",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    doc["classifier"]["confusion"][0][0] += 5e-6
+    dump_json(doc, problem)
+    with pytest.raises(ValidationError, match="malformed classifier"):
+        load_problem(str(problem))
+    capsys.readouterr()
+    assert main(["solve", str(problem), "--mode", "classifier",
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed classifier") and err.count("\n") == 1
 
 
 def test_cli_classifier_hard_profile_path(tmp_path):

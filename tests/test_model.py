@@ -59,6 +59,13 @@ def test_empirical_from_counts():
         EmpiricalObservations(counts=[0, 0])
 
 
+def test_empirical_takes_counts_or_a_distribution_not_both():
+    with pytest.raises(ValidationError, match="not both"):
+        EmpiricalObservations(Distribution([0.75, 0.25]), counts=[3, 1])
+    with pytest.raises(ValidationError, match="not both"):
+        EmpiricalObservations()
+
+
 def test_log_partition_zero_weights():
     feat = FeatureTable(np.zeros((3, 4)))
     assert log_partition(Weights(np.zeros(3)), feat) == pytest.approx(np.log(4))
