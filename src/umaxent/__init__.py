@@ -21,6 +21,7 @@ from .dual import (
     dual_gradient,
     dual_value,
     minimize_dual,
+    solve_standard_maxent,
 )
 from .em import (
     EmConfig,
@@ -58,7 +59,6 @@ from .reductions import (
     LatentFactorization,
     is_deterministic_channel,
     latent_constraint_rhs,
-    solve_standard_maxent,
     verify_latent_reduction,
     verify_maxent_reduction,
 )

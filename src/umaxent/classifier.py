@@ -32,7 +32,7 @@ class LabelMap:
     d: np.ndarray  # |X| x |labels| binary
 
     def __init__(self, d):
-        d = np.asarray(d, dtype=float)
+        d = np.array(d, dtype=float)
         if d.ndim != 2 or not np.all((d == 0) | (d == 1)):
             raise ValidationError("label map must be a binary matrix")
         if not np.all(d.sum(axis=1) == 1):
@@ -66,18 +66,22 @@ class ClassifierProfile:
     """Row-stochastic confusion matrix C[true_label, output_label].
 
     Its rows are checked once, as the columns of the channel C^T built here
-    (ObservationChannel's range and NORMALIZATION_SLACK rules); confusion
-    keeps the input as given.
+    (ObservationChannel's range and NORMALIZATION_SLACK rules), and a failure
+    names the confusion row; confusion keeps a copy of the input as given.
     """
 
     confusion: np.ndarray
     channel: ObservationChannel
 
     def __init__(self, confusion):
-        confusion = np.asarray(confusion, dtype=float)
+        confusion = np.array(confusion, dtype=float)
         if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
             raise ValidationError("confusion matrix must be square")
-        channel = ObservationChannel(confusion.T)
+        try:
+            channel = ObservationChannel(confusion.T)
+        except ValidationError as exc:
+            message = str(exc).replace("channel column", "confusion row")
+            raise ValidationError(message.replace("channel ", "confusion ")) from None
         confusion.setflags(write=False)
         object.__setattr__(self, "confusion", confusion)
         object.__setattr__(self, "channel", channel)

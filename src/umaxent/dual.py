@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleTarget
-from .model import Weights, is_integer, log_linear
+from .model import Weights, feature_expectation, is_integer, log_linear
 
 # Feasibility slack for the per-coordinate bounds check.
 _FEASIBILITY_EPS = 1e-9
@@ -35,7 +35,7 @@ class TargetExpectations:
     phi_hat: np.ndarray
 
     def __init__(self, phi_hat):
-        phi_hat = np.asarray(phi_hat, dtype=float)
+        phi_hat = np.array(phi_hat, dtype=float)
         if phi_hat.ndim != 1 or not np.all(np.isfinite(phi_hat)):
             raise ValueError("target expectations must be a finite vector")
         phi_hat.setflags(write=False)
@@ -154,21 +154,23 @@ def minimize_dual(target, features, init=None, config=None):
     best_lam, best_f = lam, f
     size = np.abs(target.phi_hat)
 
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(config.max_iter + 1):
         gnorm = np.abs(grad).max()
         if gnorm <= config.grad_tol:
-            return SolverResult(Weights(lam), f, gnorm, iterations - 1, True)
+            return SolverResult(Weights(lam), f, gnorm, iterations, True)
         if np.abs(lam).max() > _DIVERGENCE_GUARD:
             return SolverResult(
                 Weights(best_lam),
                 best_f,
                 gnorm,
-                iterations - 1,
+                iterations,
                 False,
                 diverged=True,
                 message=f"some |lambda_k| exceeded the divergence guard {_DIVERGENCE_GUARD}",
             )
+        if iterations == config.max_iter:
+            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, False,
+                                message="max_iter exceeded")
 
         # f is log Z - lambda.phi_hat; its rounding error scales with both terms.
         noise = _ROUNDING * (abs(f) + np.abs(lam) @ size)
@@ -177,7 +179,7 @@ def minimize_dual(target, features, init=None, config=None):
                  or _step(lam, f, grad, -grad, noise, target, features))
         if moved is None:
             return SolverResult(
-                Weights(best_lam), best_f, gnorm, iterations, False,
+                Weights(best_lam), best_f, gnorm, iterations + 1, False,
                 message="no Newton or steepest-descent step lowers the dual value "
                         "or, below its rounding, the gradient",
             )
@@ -185,11 +187,11 @@ def minimize_dual(target, features, init=None, config=None):
         if f <= best_f + noise:
             best_lam, best_f = lam, f
 
-    gnorm = np.abs(grad).max()
-    if gnorm <= config.grad_tol:
-        return SolverResult(Weights(lam), f, gnorm, iterations, True)
-    return SolverResult(
-        Weights(best_lam), best_f, gnorm, iterations, False,
-        diverged=bool(np.abs(best_lam).max() > _DIVERGENCE_GUARD),
-        message="max_iter exceeded",
-    )
+
+def solve_standard_maxent(empirical_x, features, config=None):
+    """Standard MaxEnt, the direct dual solve: match the expectations of empirical_x.
+
+    Its weights are the M-projection of empirical_x onto the log-linear family.
+    """
+    target = TargetExpectations(feature_expectation(empirical_x, features))
+    return minimize_dual(target, features, config=config)

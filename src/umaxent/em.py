@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dual import SolverConfig, TargetExpectations, minimize_dual
+from .dual import SolverConfig, TargetExpectations, minimize_dual, solve_standard_maxent
 from .errors import DimensionMismatch, ZeroMarginal
 from .model import (
     Distribution,
@@ -71,7 +71,9 @@ class UMaxEntProblem:
 @dataclass
 class EmConfig:
     """EM settings. lambda_tol bounds the residual |F p - phi_hat(lambda)|_inf,
-    the log-likelihood gradient, at which em_solve stops converged."""
+    the log-likelihood gradient, at which em_solve stops converged. init_mode
+    picks the starting weights: zero, uniform in +-INIT_SCALE drawn from seed,
+    or the M-projection of prior."""
 
     lambda_tol: float = 1e-6
     max_em_iter: int = 500
@@ -110,8 +112,11 @@ class EmIteration:
 @dataclass
 class EmTrace:
     rows: list = field(default_factory=list)
-    converged: bool = False
     termination: str = ""
+
+    @property
+    def converged(self):
+        return self.termination == "residual"
 
     def __len__(self):
         return len(self.rows)
@@ -162,9 +167,13 @@ class _Evaluation:
     residual: float
 
 
-def _reweight(problem, p):
-    """(m, observed, r, mix) for a model distribution p over X; observed marks the
-    observations with empirical mass, whose marginal is zero only on underflow."""
+def evaluate(problem, weights):
+    """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual.
+
+    Only the observations with empirical mass enter; their marginal is zero
+    only when the model's mass underflows.
+    """
+    p, log_p, log_z = log_linear(weights.lam, problem.features)
     channel = problem.channel
     marg = channel.matvec(p)
     w = problem.empirical.probs
@@ -174,18 +183,11 @@ def _reweight(problem, p):
         raise ZeroMarginal(int(np.flatnonzero(dead)[0]))
     r = np.divide(w, marg, out=np.zeros_like(w), where=observed)
     mix = p * channel.rmatvec(r)
-    return marg, observed, r, mix
-
-
-def evaluate(problem, weights):
-    """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual."""
-    p, log_p, log_z = log_linear(weights.lam, problem.features)
-    marg, observed, r, mix = _reweight(problem, p)
 
     values = problem.features.values
     phi_hat = values @ mix
-    loglik = float(problem.empirical.probs[observed] @ np.log(marg[observed]))
-    u_star = float(p @ problem.channel.xlogx_rmatvec(r))
+    loglik = float(w[observed] @ np.log(marg[observed]))
+    u_star = float(p @ channel.xlogx_rmatvec(r))
     h = -u_star - float(mix @ log_p) + loglik
     residual = float(np.abs(values @ p - phi_hat).max())
     return _Evaluation(log_z, phi_hat, loglik, u_star, h, residual)
@@ -196,19 +198,12 @@ def _q(log_z, weights, phi_hat_prev):
     return float(-log_z + weights.lam @ phi_hat_prev)
 
 
-def e_step(problem, current, model=None):
+def e_step(problem, current):
     """Corrected target expectations under the current model.
 
     phi_hat_k = sum_omega Pr~(omega) sum_X Pr(X | omega) phi_k(X).
-    A model distribution may be passed directly in place of the weights
-    (used for prior-seeded first iterations).
     """
-    if model is None:
-        return TargetExpectations(evaluate(problem, current).phi_hat)
-    if len(model) != problem.features.n_elements:
-        raise DimensionMismatch("elements", problem.features.n_elements, len(model))
-    mix = _reweight(problem, model.probs)[-1]
-    return TargetExpectations(problem.features.values @ mix)
+    return TargetExpectations(evaluate(problem, current).phi_hat)
 
 
 def log_likelihood(problem, weights):
@@ -241,11 +236,25 @@ def constraint_residual(problem, weights):
 
 
 def _initial_weights(problem, config):
+    """lambda_0: zero, uniform in +-INIT_SCALE, or the prior's M-projection, the
+    log-linear model whose feature expectations equal the prior's."""
     k = problem.features.n_features
     if config.init_mode == "random":
         rng = np.random.default_rng(config.seed)
         return Weights(rng.uniform(-INIT_SCALE, INIT_SCALE, size=k))
+    if config.init_mode == "prior":
+        return solve_standard_maxent(config.prior, problem.features, config.inner).weights
     return Weights(np.zeros(k))
+
+
+def _row(t, lam, ev, ev_prev, inner_iterations):
+    """Trace row t at lam, fitted to the targets of ev_prev. The bound's U* and H
+    are taken at the previous weights, Q at lam; row 0 is its own previous."""
+    return EmIteration(
+        t, np.array(lam.lam), np.array(ev_prev.phi_hat), ev.loglik,
+        _q(ev.log_z, lam, ev_prev.phi_hat), ev_prev.h, ev_prev.u_star, ev.residual,
+        inner_iterations,
+    )
 
 
 def em_solve(problem, config=None):
@@ -253,8 +262,8 @@ def em_solve(problem, config=None):
 
     Each iteration is one M-step on the targets of the last evaluation and
     one evaluation at the new weights, which gives the next targets and the
-    trace row's log-likelihood, audit terms and residual. Under init_mode
-    "prior" the first targets are the E-step under the prior.
+    trace row's log-likelihood, audit terms and residual. Row 0 is the
+    evaluation at the initial weights (_initial_weights).
 
     The one stopping test, residual <= lambda_tol, is checked at every
     accepted lambda, row 0 included; it ends the run converged with
@@ -264,39 +273,25 @@ def em_solve(problem, config=None):
     """
     config = config or EmConfig()
     lam = _initial_weights(problem, config)
-    trace = EmTrace()
-
     ev = evaluate(problem, lam)
-    target = TargetExpectations(ev.phi_hat)
-    if config.init_mode == "prior":
-        target = e_step(problem, lam, model=config.prior)
-    trace.rows.append(EmIteration(
-        0, np.array(lam.lam), np.array(target.phi_hat), ev.loglik,
-        _q(ev.log_z, lam, ev.phi_hat), ev.h, ev.u_star, ev.residual, 0,
-    ))
+    trace = EmTrace([_row(0, lam, ev, ev, 0)])
 
     t = 0
     while ev.residual > config.lambda_tol and t < config.max_em_iter:
         t += 1
         inner = replace(
             config.inner, grad_tol=min(config.inner.grad_tol, GRAD_TOL_SHARE * ev.residual))
-        result = minimize_dual(target, problem.features, init=lam, config=inner)
-        lam_new = result.weights
-        if np.array_equal(lam_new.lam, lam.lam):
+        result = minimize_dual(
+            TargetExpectations(ev.phi_hat), problem.features, init=lam, config=inner)
+        if np.array_equal(result.weights.lam, lam.lam):
             trace.termination = "stalled"
             logger.warning("EM stalled at iteration %d: the M-step left lambda unchanged", t)
             return lam, trace
-        ev_new = evaluate(problem, lam_new)
-        # The bound's U* and H are taken at the previous weights, Q at the new ones.
-        trace.rows.append(EmIteration(
-            t, np.array(lam_new.lam), np.array(target.phi_hat), ev_new.loglik,
-            _q(ev_new.log_z, lam_new, ev.phi_hat), ev.h, ev.u_star, ev_new.residual,
-            result.iterations,
-        ))
-        lam, ev, target = lam_new, ev_new, TargetExpectations(ev_new.phi_hat)
+        ev_new = evaluate(problem, result.weights)
+        trace.rows.append(_row(t, result.weights, ev_new, ev, result.iterations))
+        lam, ev = result.weights, ev_new
 
-    trace.converged = ev.residual <= config.lambda_tol
-    trace.termination = "residual" if trace.converged else "max_em_iter"
+    trace.termination = "residual" if ev.residual <= config.lambda_tol else "max_em_iter"
     if not trace.converged:
         logger.warning("EM stopped after %d iterations without converging", t)
     return lam, trace

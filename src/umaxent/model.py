@@ -23,7 +23,8 @@ def is_integer(value):
 
 
 def _as_float_array(values, name, ndim):
-    arr = np.asarray(values, dtype=float)
+    """A private float64 copy of values, checked for shape and finite entries."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -112,7 +113,7 @@ class Distribution:
         total = probs.sum()
         if abs(total - 1.0) > NORMALIZATION_SLACK:
             raise ValidationError(f"probabilities sum to {total}, not 1")
-        probs = probs / total
+        probs /= total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -143,7 +144,7 @@ class ObservationChannel:
     def __init__(self, matrix, observation_names=None):
         # One owned copy, normalized in place: a second |Omega| x |X| array
         # per channel fragments the heap of a process that loads many files.
-        matrix = _as_float_array(np.array(matrix, dtype=float), "channel matrix", 2)
+        matrix = _as_float_array(matrix, "channel matrix", 2)
         if np.any(matrix < 0) or np.any(matrix > 1):
             raise ValidationError("channel entries must lie in [0, 1]")
         col_sums = matrix.sum(axis=0)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dual import SolverConfig, TargetExpectations, minimize_dual
+from .dual import solve_standard_maxent
 from .em import EmConfig, UMaxEntProblem, e_step, em_solve
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError, ZeroMarginal
 from .model import (
@@ -21,7 +21,6 @@ from .model import (
     ElementSpace,
     ObservationChannel,
     Weights,
-    feature_expectation,
     log_linear_distribution,
 )
 
@@ -75,12 +74,6 @@ def is_deterministic_channel(channel, model):
     post = v[live] * p[cols[live]] / marg[rows[live]]
     point_mass = bool(np.all(np.minimum(post, np.abs(post - 1.0)) < _POINT_MASS_ATOL))
     return DeterminismReport(point_mass, disjoint)
-
-
-def solve_standard_maxent(empirical_x, features, config=None):
-    """Standard MaxEnt: match the directly observed empirical expectations."""
-    target = TargetExpectations(feature_expectation(empirical_x, features))
-    return minimize_dual(target, features, config=config or SolverConfig())
 
 
 def lagrangian_extra_term(problem, weights):

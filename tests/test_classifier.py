@@ -305,7 +305,9 @@ def test_classifier_em_soft_loglik_is_soft_likelihood_up_to_constant():
     assert shifts[0] == pytest.approx(-np.log(scaled.sum(axis=0).max()), abs=1e-12)
 
 
-def test_classifier_em_soft_prior_init_starts_from_prior_e_step():
+def test_classifier_em_soft_prior_init_starts_at_prior_m_projection():
+    # row 0 sits at lambda_0, the log-linear model matching the prior's
+    # feature expectations, and its targets are the E-step there
     rng = np.random.default_rng(9)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
     lm = LabelMap.from_assignment([0, 1, 2, 0, 1, 2], 3)
@@ -314,8 +316,12 @@ def test_classifier_em_soft_prior_init_starts_from_prior_e_step():
     prior = Distribution(rng.dirichlet(np.ones(6)))
     config = EmConfig(init_mode="prior", prior=prior, max_em_iter=2)
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm, config=config)
-    expected = e_step(classifier_problem(feat, batch, lm), None, model=prior).phi_hat
-    assert np.max(np.abs(trace.rows[0].phi_hat - expected)) <= 1e-14
+    lam0 = Weights(trace.rows[0].lam)
+    gap = (feature_expectation(log_linear_distribution(lam0, feat), feat)
+           - feature_expectation(prior, feat))
+    assert np.abs(gap).max() <= config.inner.grad_tol
+    expected = e_step(classifier_problem(feat, batch, lm), lam0).phi_hat
+    assert np.array_equal(trace.rows[0].phi_hat, expected)
     _, zero = classifier_em_solve(feat, batch=batch, label_map=lm,
                                   config=EmConfig(max_em_iter=2))
     assert np.max(np.abs(trace.rows[0].phi_hat - zero.rows[0].phi_hat)) > 1e-3

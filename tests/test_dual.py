@@ -173,6 +173,15 @@ def test_minimize_dual_boundary_target_hits_guard():
     assert "divergence guard" in res.message
 
 
+
+def test_minimize_dual_max_iter_exit():
+    # one Newton step cannot reach the target, and the budget ends the solve
+    res = minimize_dual(TargetExpectations([0.9]), FeatureTable([[1.0, 0.0]]),
+                        config=SolverConfig(max_iter=1))
+    assert res.iterations == 1
+    assert not res.converged and not res.diverged
+    assert res.message == "max_iter exceeded"
+
 def test_minimize_dual_tight_tolerance():
     # grad_tol far below what the Armijo test on f ~ 1 can resolve
     rng = np.random.default_rng(12)

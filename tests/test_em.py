@@ -3,6 +3,7 @@ import pytest
 
 import umaxent.em
 from umaxent import (
+    DimensionMismatch,
     Distribution,
     ElementSpace,
     EmConfig,
@@ -331,6 +332,25 @@ def test_em_prior_init_runs():
     lam, trace = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
     assert trace.converged
     assert constraint_residual(problem, lam) <= 1e-5
+
+
+def test_em_prior_init_never_loses_loglik_from_row_0():
+    # row 0 is the prior's M-projection, a lambda like any other, so the
+    # trace climbs from there
+    for eps in (0.2, 0.5):
+        for seed in range(10):
+            doc, _ = generate(SyntheticSpec(12, 18, 3, epsilon=eps, seed=seed))
+            problem = load_problem(doc).problem
+            prior = Distribution(np.random.default_rng(seed).dirichlet(np.full(12, 0.3)))
+            _, trace = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
+            assert np.diff(trace.logliks()).min() >= -1e-12, (eps, seed)
+
+
+def test_em_prior_of_the_wrong_length_is_rejected():
+    problem = easy_problem(np.random.default_rng(21))
+    n = problem.features.n_elements
+    with pytest.raises(DimensionMismatch):
+        em_solve(problem, EmConfig(init_mode="prior", prior=Distribution.uniform(n + 1)))
 
 
 def test_constraint_residual_uninformative_channel_zero():

@@ -706,13 +706,15 @@ def test_confusion_rows_are_checked_once_with_the_channel_slack(tmp_path, capsys
                  "--out", str(tmp_path)]) == EXIT_OK
     doc["classifier"]["confusion"][0][0] += 5e-6
     dump_json(doc, problem)
-    with pytest.raises(ValidationError, match="malformed classifier"):
+    # the failure names the file's confusion row, not the channel's column
+    message = "malformed classifier: confusion row 0 sums to 1.000005"
+    with pytest.raises(ValidationError, match=message):
         load_problem(str(problem))
     capsys.readouterr()
     assert main(["solve", str(problem), "--mode", "classifier",
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed classifier") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_cli_classifier_hard_profile_path(tmp_path):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from umaxent import (
+    ClassifierProfile,
     DimensionMismatch,
     Distribution,
     ElementSpace,
     EmpiricalObservations,
     FeatureTable,
+    LabelMap,
     ObservationChannel,
+    TargetExpectations,
     ValidationError,
     Weights,
     feature_expectation,
@@ -51,6 +54,22 @@ def test_channel_normalizes_a_copy():
     assert given[0, 0] == 0.5 + 1e-10
     assert not np.shares_memory(given, channel.matrix)
 
+
+
+@pytest.mark.parametrize("build, given", [
+    (FeatureTable, np.eye(2)),
+    (Weights, np.ones(2)),
+    (TargetExpectations, np.ones(2)),
+    (LabelMap, np.eye(2)),
+    (ClassifierProfile, np.eye(2)),
+])
+def test_value_types_freeze_their_own_copy(build, given):
+    # the caller's float64 array stays writable and does not alias the value
+    value = build(given)
+    given[0] = 2.0
+    stored = next(v for v in vars(value).values() if isinstance(v, np.ndarray))
+    assert not stored.flags.writeable
+    assert not np.shares_memory(given, stored)
 
 def test_empirical_from_counts():
     emp = EmpiricalObservations(counts=[3, 1])
