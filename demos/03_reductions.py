@@ -15,6 +15,7 @@ from umaxent import (
     LatentFactorization,
     SyntheticSpec,
     generate,
+    has_disjoint_column_supports,
     is_deterministic_channel,
     load_problem,
     verify_latent_reduction,
@@ -25,10 +26,10 @@ from umaxent import (
 doc, truth = generate(SyntheticSpec(n_elements=3, n_observations=5,
                                     n_features=2, epsilon=0.0, seed=3))
 loaded = load_problem(doc)
-report = is_deterministic_channel(loaded.problem.channel,
-                                  Distribution(truth["pr_true"]))
-print("channel deterministic:", bool(report),
-      "| model independent:", report.model_independent)
+channel = loaded.problem.channel
+print("channel deterministic:",
+      is_deterministic_channel(channel, Distribution(truth["pr_true"])),
+      "| model independent:", has_disjoint_column_supports(channel))
 
 reduction = verify_maxent_reduction(loaded.problem)
 print(f"EM vs direct MaxEnt: tv={reduction.tv_distance:.2e}, "

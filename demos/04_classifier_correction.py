@@ -16,9 +16,10 @@ from umaxent import (
     SoftClassifierBatch,
     Weights,
     classifier_em_solve,
+    classifier_problem,
+    evaluate,
     feature_expectation,
     log_linear_distribution,
-    soft_e_step,
 )
 
 rng = np.random.default_rng(42)
@@ -43,8 +44,9 @@ batch = SoftClassifierBatch(posterior_rows[signals], training_prior)
 
 e_truth = feature_expectation(truth, features)
 for corrected in (True, False):
-    phi_hat = soft_e_step(batch, label_map, lam_true, features,
-                          apply_correction=corrected).phi_hat
+    # the E-step targets at the truth, with or without the prior correction
+    problem = classifier_problem(features, batch, label_map, apply_correction=corrected)
+    phi_hat = evaluate(problem, lam_true).phi_hat
     tag = "corrected  " if corrected else "uncorrected"
     print(f"{tag} constraint residual at the truth: "
           f"{np.abs(phi_hat - e_truth).max():.2e}")

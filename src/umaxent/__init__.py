@@ -12,14 +12,13 @@ from .classifier import (
     LabelMap,
     SoftClassifierBatch,
     classifier_em_solve,
-    soft_e_step,
+    classifier_problem,
 )
 from .dual import (
     SolverConfig,
     SolverResult,
     TargetExpectations,
-    dual_gradient,
-    dual_value,
+    dual_objective,
     minimize_dual,
     solve_standard_maxent,
 )
@@ -27,11 +26,9 @@ from .em import (
     EmConfig,
     EmTrace,
     UMaxEntProblem,
-    constraint_residual,
-    e_step,
     em_solve,
+    evaluate,
     likelihood_decomposition,
-    log_likelihood,
 )
 from .errors import (
     DimensionMismatch,
@@ -57,6 +54,7 @@ from .model import (
 )
 from .reductions import (
     LatentFactorization,
+    has_disjoint_column_supports,
     is_deterministic_channel,
     latent_constraint_rhs,
     verify_latent_reduction,

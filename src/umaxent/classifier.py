@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import UMaxEntProblem, e_step, em_solve
+from .em import UMaxEntProblem, em_solve
 from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
 from .model import (
     Distribution,
@@ -106,6 +106,9 @@ class SoftClassifierBatch:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValidationError("batch must be a non-empty matrix")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"batch row {bad[0]} has a non-finite entry")
         if np.any(rows < 0):
             raise ValidationError("batch rows must be nonnegative")
         sums = rows.sum(axis=1)
@@ -212,18 +215,6 @@ class LabelChannel:
         return self.label_map.d @ self.labels.xlogx_rmatvec(v)
 
 
-def soft_e_step(batch, label_map, current, features, apply_correction=True):
-    """E-step from soft classifier outputs with the training-prior correction.
-
-    Each row, reweighted by the current model's label marginal over the
-    training prior and renormalized, is mapped through
-    Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averaged over samples:
-    e_step on classifier_problem's soft problem.
-    """
-    return e_step(classifier_problem(features, batch, label_map,
-                                     apply_correction=apply_correction), current)
-
-
 def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
                        profile=None, apply_correction=True):
     """The channel problem that classifier outputs define, on a LabelChannel.
@@ -236,7 +227,10 @@ def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
     changes neither the posteriors nor the E-step, and the log-likelihood is
     sum_i w_i log sum_l r_il Pr(l) / theta_l minus log c. Without the
     correction the observations are the labels, seen through the identity
-    with the batch label marginal as their frequencies.
+    with the batch label marginal as their frequencies. The soft E-step,
+    evaluate(problem, lam).phi_hat, thus reweights each row by the model's
+    label marginal over the training prior, renormalizes it, maps it through
+    Pr(X | label) = d(X, label) Pr(X) / Pr(label) and averages over samples.
     """
     if (batch is None) == (empirical_xi is None):
         raise ValidationError("provide either a soft batch or hard-label empirical data")

@@ -118,7 +118,10 @@ def _read_truth(path, n_features):
         raise ValidationError(f"malformed truth sidecar: {' '.join(str(exc).split())}") from exc
     if lam_true.shape != (n_features,) or e_true.shape != (n_features,):
         raise ValidationError("truth sidecar does not match the problem")
-    return e_true, bool(sidecar.get("exact_marginal", False))
+    exact_marginal = sidecar.get("exact_marginal", False)
+    if not isinstance(exact_marginal, bool):
+        raise ValidationError("truth sidecar's exact_marginal must be true or false")
+    return e_true, exact_marginal
 
 
 def cmd_check(args):

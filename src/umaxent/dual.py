@@ -81,16 +81,11 @@ def _evaluate(lam, target, features):
     return log_z - lam @ target.phi_hat, mu - target.phi_hat, (centered * p) @ centered.T
 
 
-def dual_value(weights, target, features):
-    """log Z(lambda) - sum_k lambda_k phi_hat_k."""
+def dual_objective(weights, target, features):
+    """(dual value, gradient, Hessian) at weights: log Z(lambda) - lambda . phi_hat,
+    E_lambda[phi] - phi_hat and Cov_lambda(phi)."""
     _check(target, features)
-    return _evaluate(weights.lam, target, features)[0]
-
-
-def dual_gradient(weights, target, features):
-    """Gradient of the dual: E_lambda[phi] - phi_hat."""
-    _check(target, features)
-    return _evaluate(weights.lam, target, features)[1]
+    return _evaluate(weights.lam, target, features)
 
 
 def _check_feasible(target, features):

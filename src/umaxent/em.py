@@ -5,13 +5,15 @@ feature expectations under the current model; the M-step hands those
 targets to the convex dual minimizer. The likelihood decomposition
 (U* + Q + H) is tracked per iteration as a monotonicity audit.
 
-The loop evaluates the model once per lambda (evaluate): the E-step
-targets, the log-likelihood, the audit terms and the residual all come
-from matrix-vector products with the channel C and with C log C. A channel
-is read only through its matvec (C @ v), rmatvec (C^T @ v) and
-xlogx_rmatvec ((C log C)^T @ v), so a factored channel such as a
-classifier batch composed with a label map runs the same loop as a dense
-one.
+evaluate is the one evaluation of the model at lambda, and the public
+entry point to each quantity: its Evaluation gives the E-step targets
+phi_hat, the log-likelihood loglik, the audit terms u_star and h, and the
+residual. All come from matrix-vector products with the channel C and
+with C log C. A channel is read only through its matvec (C @ v), rmatvec
+(C^T @ v) and xlogx_rmatvec ((C log C)^T @ v), so a factored channel such
+as a classifier batch composed with a label map runs the same loop as a
+dense one. likelihood_decomposition adds Q, which is taken at a second
+lambda.
 
 An observed omega with a zero channel row makes L -inf for every lambda, so
 UMaxEntProblem rejects it when built; EM raises the same ZeroMarginal only
@@ -150,13 +152,17 @@ class EmTrace:
 
 
 @dataclass(frozen=True, eq=False)
-class _Evaluation:
+class Evaluation:
     """Everything EM reads from the model at one lambda.
 
-    With m = C p and r = w / m (w the empirical mass, r = 0 where w = 0):
-    mix = p * C^T r is the posterior-averaged distribution over X,
-    phi_hat = F mix, L = w . log m, U* = p . ((C log C)^T r) and
-    H = -U* - mix . log p + L; none needs the |Omega| x |X| posterior matrix.
+    phi_hat_k = sum_omega Pr~(omega) sum_X Pr(X | omega) phi_k(X) are the
+    E-step targets, loglik = L(lambda) = sum_omega Pr~(omega) log Pr(omega),
+    u_star and h the audit terms of U* + Q + H <= L, and residual the
+    sup-norm |F p - phi_hat|, the gradient of L. With m = C p and r = w / m
+    (w the empirical mass, r = 0 where w = 0): mix = p * C^T r is the
+    posterior-averaged distribution over X, phi_hat = F mix, L = w . log m,
+    U* = p . ((C log C)^T r) and H = -U* - mix . log p + L; none needs the
+    |Omega| x |X| posterior matrix.
     """
 
     log_z: float
@@ -171,7 +177,7 @@ def evaluate(problem, weights):
     """One pass over the model at lambda: E-step targets, likelihood, audit terms, residual.
 
     Only the observations with empirical mass enter; their marginal is zero
-    only when the model's mass underflows.
+    only when the model's mass underflows, and then ZeroMarginal is raised.
     """
     p, log_p, log_z = log_linear(weights.lam, problem.features)
     channel = problem.channel
@@ -190,32 +196,12 @@ def evaluate(problem, weights):
     u_star = float(p @ channel.xlogx_rmatvec(r))
     h = -u_star - float(mix @ log_p) + loglik
     residual = float(np.abs(values @ p - phi_hat).max())
-    return _Evaluation(log_z, phi_hat, loglik, u_star, h, residual)
+    return Evaluation(log_z, phi_hat, loglik, u_star, h, residual)
 
 
 def _q(log_z, weights, phi_hat_prev):
     """Q(lambda | lambda_prev) = -log Z(lambda) + lambda . phi_hat(lambda_prev)."""
     return float(-log_z + weights.lam @ phi_hat_prev)
-
-
-def e_step(problem, current):
-    """Corrected target expectations under the current model.
-
-    phi_hat_k = sum_omega Pr~(omega) sum_X Pr(X | omega) phi_k(X).
-    """
-    return TargetExpectations(evaluate(problem, current).phi_hat)
-
-
-def log_likelihood(problem, weights):
-    """L(lambda) = sum_omega Pr~(omega) log Pr_lambda(omega).
-
-    L is -inf when an observation with empirical mass gets zero model
-    marginal, which happens only when the model's mass underflows.
-    """
-    try:
-        return evaluate(problem, weights).loglik
-    except ZeroMarginal:
-        return -np.inf
 
 
 def likelihood_decomposition(problem, weights, weights_prev):
@@ -228,11 +214,6 @@ def likelihood_decomposition(problem, weights, weights_prev):
     prev = evaluate(problem, weights_prev)
     q = _q(log_partition(weights, problem.features), weights, prev.phi_hat)
     return prev.u_star, q, prev.h
-
-
-def constraint_residual(problem, weights):
-    """Sup-norm gap between model expectations and the E-step targets at the same weights."""
-    return evaluate(problem, weights).residual
 
 
 def _initial_weights(problem, config):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dual import solve_standard_maxent
-from .em import EmConfig, UMaxEntProblem, e_step, em_solve
+from .em import EmConfig, UMaxEntProblem, em_solve, evaluate
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError, ZeroMarginal
 from .model import (
     Distribution,
@@ -26,18 +26,12 @@ from .model import (
 
 # A posterior entry this close to 0 or 1 counts as a point-mass entry.
 _POINT_MASS_ATOL = 1e-12
-
-
-@dataclass
-class DeterminismReport:
-    """Whether posteriors are point masses for the given model, and whether
-    the channel's disjoint column supports make that hold for every model."""
-
-    point_mass_posteriors: bool
-    model_independent: bool
-
-    def __bool__(self):
-        return self.point_mass_posteriors
+# verify_maxent_reduction takes the extra term at this many random lambdas.
+N_RANDOM_LAMBDA = 100
+# verify_latent_reduction compares both sides at this many random models and
+# fails when they differ by more than IDENTITY_ATOL.
+N_MODELS = 100
+IDENTITY_ATOL = 1e-12
 
 
 def _at_most_one_per_row(rows, n_observations):
@@ -58,22 +52,20 @@ def has_disjoint_column_supports(channel):
 
 
 def is_deterministic_channel(channel, model):
-    """Test whether each observation pins down a single element.
+    """Test whether each observation pins down a single element under model.
 
-    Checks that every posterior under the given model is a point mass
+    True when every posterior under the given model is a point mass
     (entries within _POINT_MASS_ATOL of 0 or 1); observations with zero
-    marginal are vacuous. Also reports whether the channel's column supports
-    are disjoint, in which case the property holds for every model. Only the
-    nonzero channel entries are visited: the others give posterior 0.
+    marginal are vacuous. has_disjoint_column_supports tells whether this
+    holds for every model. Only the nonzero channel entries are visited: the
+    others give posterior 0.
     """
     rows, cols, v = _support(channel)
     p = model.probs
     marg = channel.matvec(p)
-    disjoint = _at_most_one_per_row(rows, channel.n_observations)
     live = marg[rows] > 0
     post = v[live] * p[cols[live]] / marg[rows[live]]
-    point_mass = bool(np.all(np.minimum(post, np.abs(post - 1.0)) < _POINT_MASS_ATOL))
-    return DeterminismReport(point_mass, disjoint)
+    return bool(np.all(np.minimum(post, np.abs(post - 1.0)) < _POINT_MASS_ATOL))
 
 
 def lagrangian_extra_term(problem, weights):
@@ -125,11 +117,12 @@ def induced_empirical_x(problem):
     return Distribution(np.bincount(cols, weights=tilde[rows], minlength=channel.n_elements))
 
 
-def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
+def verify_maxent_reduction(problem, config=None, seed=0):
     """Check that EM on a deterministic channel matches the direct dual solve.
 
     Reports the total-variation distance between the two solutions and the
-    sup-norm of the Lagrangian's extra gradient term at random weights.
+    sup-norm of the Lagrangian's extra gradient term at N_RANDOM_LAMBDA
+    random weights drawn from seed.
     """
     config = config or EmConfig()
     empirical_x = induced_empirical_x(problem)
@@ -144,7 +137,7 @@ def verify_maxent_reduction(problem, config=None, n_random_lambda=100, seed=0):
     k = problem.features.n_features
     support = _support(problem.channel)
     term_norm = 0.0
-    for _ in range(n_random_lambda):
+    for _ in range(N_RANDOM_LAMBDA):
         lam = Weights(rng.uniform(-2, 2, size=k))
         term_norm = max(term_norm, float(np.abs(_extra_term(problem, lam, support)).max()))
 
@@ -225,13 +218,12 @@ def latent_constraint_rhs(fact, empirical_y, model, features):
     return features.values @ (empirical_y.probs[y] * cond)
 
 
-def verify_latent_reduction(fact, empirical_y, features, config=None,
-                            n_models=100, seed=0, identity_atol=1e-12):
+def verify_latent_reduction(fact, empirical_y, features, config=None, seed=0):
     """Check the latent reduction as a pointwise identity on E-step outputs.
 
-    Builds the Y-observing channel, compares e_step against
-    latent_constraint_rhs at random log-linear models, then runs EM and
-    reports the converged residual.
+    Builds the Y-observing channel, compares the E-step targets of evaluate
+    with latent_constraint_rhs at N_MODELS random log-linear models drawn
+    from seed, then runs EM and reports the converged residual.
     """
     config = config or EmConfig()
     channel = fact.y_channel()
@@ -240,15 +232,15 @@ def verify_latent_reduction(fact, empirical_y, features, config=None,
 
     rng = np.random.default_rng(seed)
     gap = 0.0
-    for _ in range(n_models):
+    for _ in range(N_MODELS):
         lam = Weights(rng.uniform(-2, 2, size=features.n_features))
         model = log_linear_distribution(lam, features)
-        lhs = e_step(problem, lam).phi_hat
+        lhs = evaluate(problem, lam).phi_hat
         rhs = latent_constraint_rhs(fact, empirical_y, model, features)
         gap = max(gap, float(np.abs(lhs - rhs).max()))
-    if gap > identity_atol:
+    if gap > IDENTITY_ATOL:
         raise PreconditionViolated(
-            f"latent identity violated: max gap {gap} exceeds {identity_atol}"
+            f"latent identity violated: max gap {gap} exceeds {IDENTITY_ATOL}"
         )
 
     _, trace = em_solve(problem, config)

@@ -23,18 +23,17 @@ from umaxent import (
     UMaxEntProblem,
     Weights,
     classifier_em_solve,
-    dual_gradient,
+    classifier_problem,
+    dual_objective,
     dump_json,
-    e_step,
     em_solve,
+    evaluate,
     feature_expectation,
     generate,
     likelihood_decomposition,
     load_problem,
-    log_likelihood,
     log_linear_distribution,
     minimize_dual,
-    soft_e_step,
     solve_standard_maxent,
     verify_latent_reduction,
     verify_maxent_reduction,
@@ -86,8 +85,8 @@ def test_criterion_1_gradient_correctness():
         values = rng.uniform(-2, 2, size=(k, n))
         lam = rng.uniform(-2, 2, size=k)
         phi_hat = values @ rng.dirichlet(np.ones(n))
-        grad = dual_gradient(Weights(lam), TargetExpectations(phi_hat),
-                             FeatureTable(values))
+        grad = dual_objective(Weights(lam), TargetExpectations(phi_hat),
+                              FeatureTable(values))[1]
         for j in range(k):
             hi, lo = lam.copy(), lam.copy()
             hi[j] += h
@@ -151,10 +150,10 @@ def test_criterion_4_lower_bound_tightness():
         lam_prev = Weights(rng.uniform(-1, 1, size=k))
         u, q, h = likelihood_decomposition(problem, lam, lam)
         worst_tight = max(worst_tight,
-                          abs(u + q + h - log_likelihood(problem, lam)))
+                          abs(u + q + h - evaluate(problem, lam).loglik))
         u, q, h = likelihood_decomposition(problem, lam, lam_prev)
         worst_violation = max(worst_violation,
-                              u + q + h - log_likelihood(problem, lam))
+                              u + q + h - evaluate(problem, lam).loglik)
     ok = worst_tight <= 1e-10 and worst_violation <= 1e-10
     report(4, "U* + Q + H decomposition tight and bounding", ok,
            f"tightness={worst_tight:.2e}, bound_slack={worst_violation:.2e}")
@@ -173,7 +172,7 @@ def test_criterion_5_infinite_data_consistency():
         assert trace.converged
         worst_residual = max(worst_residual, trace.rows[-1].residual)
         # truth expectations satisfy the converged constraints
-        phi_hat = e_step(loaded.problem, lam).phi_hat
+        phi_hat = evaluate(loaded.problem, lam).phi_hat
         e_true = np.asarray(sidecar["feature_expectations_true"])
         worst_err = max(worst_err, float(np.abs(phi_hat - e_true).max()))
     ok = worst_residual <= 1e-5 and worst_err <= 1e-5
@@ -188,8 +187,7 @@ def test_criterion_6_standard_reduction():
     for i in range(5):
         doc, _ = generate(SyntheticSpec(3, 5, 2, epsilon=0.0, seed=1060 + i))
         problem = load_problem(doc).problem
-        rep = verify_maxent_reduction(problem, n_random_lambda=100,
-                                      seed=int(rng.integers(1 << 30)))
+        rep = verify_maxent_reduction(problem, seed=int(rng.integers(1 << 30)))
         worst_tv = max(worst_tv, rep.tv_distance)
         worst_term = max(worst_term, rep.extra_term_norm)
     ok = worst_tv <= 1e-6 and worst_term <= 1e-10
@@ -210,8 +208,7 @@ def test_criterion_7_latent_reduction():
             {pair: i for i, pair in enumerate(pairs)}, len(pairs))
         feat = FeatureTable(rng.uniform(-2, 2, size=(2, len(pairs))))
         emp = Distribution(rng.dirichlet(np.ones(n_y)))
-        rep = verify_latent_reduction(fact, emp, feat, n_models=100,
-                                      seed=int(rng.integers(1 << 30)))
+        rep = verify_latent_reduction(fact, emp, feat, seed=int(rng.integers(1 << 30)))
         worst_gap = max(worst_gap, rep.identity_gap)
     report(7, "Y-channel E-step equals latent constraint RHS",
            worst_gap <= 1e-12, f"max_gap={worst_gap:.2e}")
@@ -279,10 +276,10 @@ def test_criterion_9_prior_correction_ablation():
     # residual at the truth: corrected E-step should nearly close the loop
     e_truth = feature_expectation(truth, feat)
     res_corrected = float(np.abs(
-        soft_e_step(batch, lm, lam_true, feat).phi_hat - e_truth).max())
+        evaluate(classifier_problem(feat, batch, lm), lam_true).phi_hat - e_truth).max())
     res_uncorrected = float(np.abs(
-        soft_e_step(batch, lm, lam_true, feat,
-                    apply_correction=False).phi_hat - e_truth).max())
+        evaluate(classifier_problem(feat, batch, lm, apply_correction=False),
+                 lam_true).phi_hat - e_truth).max())
 
     lam, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
     assert trace.converged

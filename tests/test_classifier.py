@@ -19,19 +19,18 @@ from umaxent import (
     ZeroMarginal,
     ZeroTrainingPrior,
     classifier_em_solve,
-    e_step,
+    classifier_problem,
     em_solve,
+    evaluate,
     feature_expectation,
     is_deterministic_channel,
     latent_constraint_rhs,
     log_linear_distribution,
     observation_marginal,
     problem_to_dict,
-    soft_e_step,
     solve_standard_maxent,
 )
-from umaxent.classifier import LabelChannel, classifier_problem
-from umaxent.em import evaluate
+from umaxent.classifier import LabelChannel
 from umaxent.reductions import (
     has_disjoint_column_supports,
     induced_empirical_x,
@@ -39,11 +38,11 @@ from umaxent.reductions import (
 )
 
 
-def hard_label_e_step(emp, profile, lm, lam, feat):
-    """The E-step on the hard-label problem: the lifted confusion channel."""
+def hard_label_evaluation(emp, profile, lm, lam, feat):
+    """The evaluation of the hard-label problem: the lifted confusion channel."""
     problem = UMaxEntProblem(ElementSpace(range(feat.n_elements)), feat, profile.lift(lm),
                              EmpiricalObservations(emp))
-    return e_step(problem, lam)
+    return evaluate(problem, lam)
 
 
 def test_label_map_requires_deterministic_rows():
@@ -77,7 +76,7 @@ def test_hard_label_perfect_classifier_is_standard_expectations():
     lm = LabelMap.from_assignment([0, 1, 2], 3)
     profile = ClassifierProfile(np.eye(3))
     emp = Distribution(rng.dirichlet(np.ones(3)))
-    out = hard_label_e_step(emp, profile, lm, Weights(rng.normal(size=2)), feat)
+    out = hard_label_evaluation(emp, profile, lm, Weights(rng.normal(size=2)), feat)
     assert np.max(np.abs(out.phi_hat - feat.values @ emp.probs)) <= 1e-12
 
 
@@ -96,7 +95,7 @@ def test_hard_label_quotient_equals_latent_rhs():
     for _ in range(20):
         lam = Weights(rng.uniform(-2, 2, size=2))
         model = log_linear_distribution(lam, feat)
-        lhs = hard_label_e_step(emp, profile, lm, lam, feat).phi_hat
+        lhs = hard_label_evaluation(emp, profile, lm, lam, feat).phi_hat
         rhs = latent_constraint_rhs(fact, emp, model, feat)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -108,7 +107,7 @@ def test_hard_label_symmetric_confusion_hand_computed():
     emp = Distribution([0.5, 0.5])
     lam = Weights([0.0])  # model [0.5, 0.5]
     # Pr(xi0) = 0.5; Pr(X0 | xi0) = 0.9*0.5/0.5 = 0.9, Pr(X0 | xi1) = 0.1
-    out = hard_label_e_step(emp, profile, lm, lam, feat)
+    out = hard_label_evaluation(emp, profile, lm, lam, feat)
     assert out.phi_hat[0] == pytest.approx(0.5 * 0.9 + 0.5 * 0.1, abs=1e-12)
 
 
@@ -121,8 +120,9 @@ def test_soft_correction_identity_when_priors_match():
         lam = Weights(rng.normal(size=2))
         prior = Distribution(lm.d.T @ log_linear_distribution(lam, feat).probs)
         batch = SoftClassifierBatch(rng.dirichlet(np.ones(4), size=7), prior)
-        corrected = soft_e_step(batch, lm, lam, feat).phi_hat
-        raw = soft_e_step(batch, lm, lam, feat, apply_correction=False).phi_hat
+        corrected = evaluate(classifier_problem(feat, batch, lm), lam).phi_hat
+        raw = evaluate(classifier_problem(feat, batch, lm, apply_correction=False),
+                       lam).phi_hat
         assert np.max(np.abs(corrected - raw)) <= 1e-14
 
 
@@ -131,7 +131,7 @@ def test_soft_correction_point_mass_stays_point_mass():
     lm = LabelMap.from_assignment([0, 1, 2], 3)
     batch = SoftClassifierBatch([[0.0, 1.0, 0.0]], Distribution([0.3, 0.3, 0.4]))
     lam = Weights([0.4, -0.7])
-    out = soft_e_step(batch, lm, lam, feat)
+    out = evaluate(classifier_problem(feat, batch, lm), lam)
     assert np.allclose(out.phi_hat, feat.values[:, 1], rtol=0, atol=1e-15)
 
 
@@ -140,7 +140,7 @@ def test_soft_correction_hand_computed():
     feat = FeatureTable([[1.0, 0.0]])
     lm = LabelMap.from_assignment([0, 1], 2)
     batch = SoftClassifierBatch([[0.6, 0.4]], Distribution([0.5, 0.5]))
-    out = soft_e_step(batch, lm, Weights([np.log(9.0)]), feat)
+    out = evaluate(classifier_problem(feat, batch, lm), Weights([np.log(9.0)]))
     assert out.phi_hat[0] == pytest.approx(0.54 / 0.58, abs=1e-14)
 
 
@@ -148,18 +148,24 @@ def test_soft_correction_errors():
     feat = FeatureTable([[1.0, 0.0]])
     lm = LabelMap.from_assignment([0, 1], 2)
     with pytest.raises(ZeroTrainingPrior):
-        soft_e_step(SoftClassifierBatch([[0.5, 0.5]], Distribution([1.0, 0.0])),
-                    lm, Weights([0.0]), feat)
+        evaluate(classifier_problem(
+            feat, SoftClassifierBatch([[0.5, 0.5]], Distribution([1.0, 0.0])), lm),
+            Weights([0.0]))
     # the model puts no mass on the row's only label: its corrected row is zero
     with pytest.raises(ZeroMarginal):
-        soft_e_step(SoftClassifierBatch([[1.0, 0.0]], Distribution([0.5, 0.5])),
-                    lm, Weights([-800.0]), feat)
+        evaluate(classifier_problem(
+            feat, SoftClassifierBatch([[1.0, 0.0]], Distribution([0.5, 0.5])), lm),
+            Weights([-800.0]))
 
 
 def test_batch_validation():
     prior = Distribution([0.5, 0.5])
     with pytest.raises(ValidationError):
         SoftClassifierBatch([[0.6, 0.6]], prior)
+    # NaN passes both the sign and the sum test, so it is rejected first, by row
+    for cell in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="batch row 1 has a non-finite entry"):
+            SoftClassifierBatch([[0.6, 0.4], [cell, 1.0]], prior)
     batch = SoftClassifierBatch([[0.6, 0.4], [0.2, 0.8]], prior)
     assert batch.n_samples == 2
     assert np.array_equal(batch.sample_weights, [0.5, 0.5])
@@ -172,7 +178,7 @@ def test_soft_e_step_perfect_point_mass_rows():
     lm = LabelMap.from_assignment([0, 1, 2], 3)
     rows = np.eye(3)[[0, 0, 1, 2]]  # labeled X counts: [2, 1, 1]
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
-    out = soft_e_step(batch, lm, Weights(rng.normal(size=2)), feat)
+    out = evaluate(classifier_problem(feat, batch, lm), Weights(rng.normal(size=2)))
     labeled = Distribution([0.5, 0.25, 0.25])
     assert np.max(np.abs(out.phi_hat - feat.values @ labeled.probs)) <= 1e-12
 
@@ -184,7 +190,7 @@ def test_soft_e_step_uninformative_rows_return_model_expectations():
     rows = np.full((5, 3), 1 / 3)
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
     lam = Weights(rng.normal(size=2))
-    out = soft_e_step(batch, lm, lam, feat)
+    out = evaluate(classifier_problem(feat, batch, lm), lam)
     model_exp = feature_expectation(log_linear_distribution(lam, feat), feat)
     assert np.max(np.abs(out.phi_hat - model_exp)) <= 1e-12
 
@@ -197,7 +203,7 @@ def test_soft_e_step_enumeration():
     training_prior = Distribution([0.6, 0.4])
     batch = SoftClassifierBatch(rows, training_prior)
     lam = Weights([np.log(3)])  # model [0.75, 0.25]
-    out = soft_e_step(batch, lm, lam, feat)
+    out = evaluate(classifier_problem(feat, batch, lm), lam)
 
     model = np.array([0.75, 0.25])
     expected = 0.0
@@ -220,7 +226,7 @@ def test_degenerate_rows_skipped_with_renormalized_weights():
     # drive it there with a large weight: the corrected second row ~ 0
     lam = Weights([800.0])  # exp(-800) underflows: element 1 gets exactly zero mass
     with pytest.raises(ZeroMarginal) as exc:
-        soft_e_step(batch, lm, lam, feat)
+        evaluate(classifier_problem(feat, batch, lm), lam)
     assert exc.value.index == 1
 
 
@@ -258,11 +264,12 @@ def test_classifier_em_soft_trace_targets_are_soft_e_steps():
                                 Distribution([0.5, 0.3, 0.2]))
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
     assert len(trace) > 2
+    problem = classifier_problem(feat, batch, lm)
     for prev, row in zip(trace.rows, trace.rows[1:]):
-        expected = soft_e_step(batch, lm, Weights(prev.lam), feat).phi_hat
+        expected = evaluate(problem, Weights(prev.lam)).phi_hat
         assert np.max(np.abs(row.phi_hat - expected)) <= 1e-12
         model = feature_expectation(log_linear_distribution(Weights(row.lam), feat), feat)
-        residual = np.abs(model - soft_e_step(batch, lm, Weights(row.lam), feat).phi_hat).max()
+        residual = np.abs(model - evaluate(problem, Weights(row.lam)).phi_hat).max()
         assert row.residual == pytest.approx(residual, abs=1e-12)
 
 
@@ -320,7 +327,7 @@ def test_classifier_em_soft_prior_init_starts_at_prior_m_projection():
     gap = (feature_expectation(log_linear_distribution(lam0, feat), feat)
            - feature_expectation(prior, feat))
     assert np.abs(gap).max() <= config.inner.grad_tol
-    expected = e_step(classifier_problem(feat, batch, lm), lam0).phi_hat
+    expected = evaluate(classifier_problem(feat, batch, lm), lam0).phi_hat
     assert np.array_equal(trace.rows[0].phi_hat, expected)
     _, zero = classifier_em_solve(feat, batch=batch, label_map=lm,
                                   config=EmConfig(max_em_iter=2))
@@ -382,9 +389,9 @@ def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
     assert np.array_equal(induced_empirical_x(factored).probs, induced_empirical_x(dense).probs)
     lam = Weights([0.4, -0.7])
     model = log_linear_distribution(lam, feat)
-    report = is_deterministic_channel(factored.channel, model)
-    assert report == is_deterministic_channel(dense.channel, model)
-    assert report.point_mass_posteriors and report.model_independent
+    assert has_disjoint_column_supports(dense.channel)
+    assert is_deterministic_channel(factored.channel, model)
+    assert is_deterministic_channel(dense.channel, model)
     assert np.max(np.abs(lagrangian_extra_term(factored, lam))) <= 1e-15
 
 

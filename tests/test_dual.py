@@ -7,8 +7,7 @@ from umaxent import (
     SolverConfig,
     TargetExpectations,
     Weights,
-    dual_gradient,
-    dual_value,
+    dual_objective,
     feature_expectation,
     log_linear_distribution,
     minimize_dual,
@@ -44,12 +43,12 @@ def grid_oracle(values, phi_hat, span=8.0, points=33, rounds=12):
 def test_dual_value_at_zero():
     feat = FeatureTable(np.zeros((2, 5)))
     target = TargetExpectations([0.0, 0.0])
-    assert dual_value(Weights(np.zeros(2)), target, feat) == pytest.approx(np.log(5))
+    assert dual_objective(Weights(np.zeros(2)), target, feat)[0] == pytest.approx(np.log(5))
 
 
 def test_dual_value_direct():
     feat = FeatureTable([[1.0, 0.0]])
-    val = dual_value(Weights([np.log(2)]), TargetExpectations([2 / 3]), feat)
+    val = dual_objective(Weights([np.log(2)]), TargetExpectations([2 / 3]), feat)[0]
     assert val == pytest.approx(np.log(3) - (2 / 3) * np.log(2))
 
 
@@ -62,7 +61,7 @@ def test_dual_value_at_optimum_is_negative_entropy():
         # pick the target as the model's own expectations: lam is optimal
         dist = log_linear_distribution(Weights(lam), feat)
         phi_hat = feature_expectation(dist, feat)
-        val = dual_value(Weights(lam), TargetExpectations(phi_hat), feat)
+        val = dual_objective(Weights(lam), TargetExpectations(phi_hat), feat)[0]
         # at constraint satisfaction the dual equals minus the (negated)
         # entropy objective, i.e. H itself
         entropy = -np.sum(dist.probs * np.log(dist.probs))
@@ -75,14 +74,14 @@ def test_dual_gradient_zero_at_own_expectations():
     feat = FeatureTable(values)
     lam = Weights(rng.uniform(-1, 1, size=3))
     phi_hat = feature_expectation(log_linear_distribution(lam, feat), feat)
-    grad = dual_gradient(lam, TargetExpectations(phi_hat), feat)
+    grad = dual_objective(lam, TargetExpectations(phi_hat), feat)[1]
     assert np.max(np.abs(grad)) <= 1e-14
 
 
 def test_dual_gradient_at_zero_weights():
     feat = FeatureTable([[1.0, 0.0], [0.0, 1.0]])
     phi_hat = np.array([0.1, 0.2])
-    grad = dual_gradient(Weights(np.zeros(2)), TargetExpectations(phi_hat), feat)
+    grad = dual_objective(Weights(np.zeros(2)), TargetExpectations(phi_hat), feat)[1]
     assert np.allclose(grad, [0.5, 0.5] - phi_hat)
 
 
@@ -97,7 +96,11 @@ def test_dual_gradient_matches_finite_differences():
         lam = rng.uniform(-2, 2, size=k)
         phi_hat = values @ rng.dirichlet(np.ones(n))
         target = TargetExpectations(phi_hat)
-        grad = dual_gradient(Weights(lam), target, feat)
+        _, grad, hess = dual_objective(Weights(lam), target, feat)
+        # the Newton matrix is Cov_lambda(phi) and the Jacobian of the gradient
+        p = brute_distribution(lam, values)
+        centered = values - (values @ p)[:, None]
+        assert np.allclose(hess, (centered * p) @ centered.T, rtol=0, atol=1e-12)
         for j in range(k):
             hi = lam.copy()
             lo = lam.copy()
@@ -105,6 +108,9 @@ def test_dual_gradient_matches_finite_differences():
             lo[j] -= h
             fd = (brute_dual(hi, values, phi_hat) - brute_dual(lo, values, phi_hat)) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-6
+            fd_hess = (dual_objective(Weights(hi), target, feat)[1]
+                       - dual_objective(Weights(lo), target, feat)[1]) / (2 * h)
+            assert np.max(np.abs(hess[:, j] - fd_hess)) <= 1e-6
 
 
 def test_dual_convexity_witness():
@@ -115,10 +121,10 @@ def test_dual_convexity_witness():
         phi_hat = TargetExpectations(values @ rng.dirichlet(np.ones(5)))
         a = Weights(rng.uniform(-2, 2, size=3))
         b = Weights(rng.uniform(-2, 2, size=3))
-        fa, fb = dual_value(a, phi_hat, feat), dual_value(b, phi_hat, feat)
+        fa, fb = dual_objective(a, phi_hat, feat)[0], dual_objective(b, phi_hat, feat)[0]
         for t in (0.25, 0.5, 0.75):
             mid = Weights(t * a.lam + (1 - t) * b.lam)
-            assert dual_value(mid, phi_hat, feat) <= t * fa + (1 - t) * fb + 1e-10
+            assert dual_objective(mid, phi_hat, feat)[0] <= t * fa + (1 - t) * fb + 1e-10
 
 
 def test_minimize_dual_uniform_target():

@@ -15,19 +15,16 @@ from umaxent import (
     UMaxEntProblem,
     Weights,
     ZeroMarginal,
-    constraint_residual,
-    e_step,
     em_solve,
+    evaluate,
     feature_expectation,
     generate,
     likelihood_decomposition,
     load_problem,
-    log_likelihood,
     log_linear_distribution,
     observation_marginal,
     solve_standard_maxent,
 )
-from umaxent.em import evaluate
 
 
 def make_problem(values, channel_matrix, empirical):
@@ -67,7 +64,7 @@ def easy_problem(rng, n_max=6, k_max=3, noise=0.25):
                           EmpiricalObservations(marg))
 
 
-def enumeration_e_step(problem, lam):
+def enumerated_targets(problem, lam):
     """Brute-force double sum over omega and X, scalar loops only."""
     p = log_linear_distribution(Weights(lam), problem.features).probs
     ch = problem.channel.matrix
@@ -88,7 +85,7 @@ def enumeration_e_step(problem, lam):
 
 def test_e_step_identity_channel_gives_empirical_expectations():
     problem = make_problem([[1.0, 0.0, 2.0]], np.eye(3), [0.5, 0.2, 0.3])
-    out = e_step(problem, Weights([0.7]))
+    out = evaluate(problem, Weights([0.7]))
     expected = problem.features.values @ problem.empirical.probs
     assert np.allclose(out.phi_hat, expected, atol=1e-12)
 
@@ -97,7 +94,7 @@ def test_e_step_uninformative_channel_returns_model_expectations():
     values = [[1.0, -1.0], [0.5, 2.0]]
     problem = make_problem(values, np.full((3, 2), 1 / 3), [0.1, 0.5, 0.4])
     lam = Weights([0.3, -0.2])
-    out = e_step(problem, lam)
+    out = evaluate(problem, lam)
     model_exp = feature_expectation(
         log_linear_distribution(lam, problem.features), problem.features
     )
@@ -110,8 +107,8 @@ def test_e_step_two_by_two_enumeration():
     tilde = [0.75 * 0.9 + 0.25 * 0.3, 0.75 * 0.1 + 0.25 * 0.7]
     problem = make_problem([[1.0, 0.0]], channel, tilde)
     lam = np.array([0.0])  # model [0.5, 0.5]
-    out = e_step(problem, Weights(lam))
-    assert np.allclose(out.phi_hat, enumeration_e_step(problem, lam), atol=1e-14)
+    out = evaluate(problem, Weights(lam))
+    assert np.allclose(out.phi_hat, enumerated_targets(problem, lam), atol=1e-14)
     # hand value: Pr(X0|w0) = .9/(.9+.3) = 0.75, Pr(X0|w1) = .1/(.1+.7) = 0.125
     hand = tilde[0] * 0.75 + tilde[1] * 0.125
     assert out.phi_hat[0] == pytest.approx(hand, abs=1e-12)
@@ -122,8 +119,8 @@ def test_e_step_random_matches_enumeration():
     for _ in range(20):
         problem = random_problem(rng, n_max=5, m_max=6, k_max=3)
         lam = rng.uniform(-1, 1, size=problem.features.n_features)
-        out = e_step(problem, Weights(lam))
-        assert np.allclose(out.phi_hat, enumeration_e_step(problem, lam), atol=1e-12)
+        out = evaluate(problem, Weights(lam))
+        assert np.allclose(out.phi_hat, enumerated_targets(problem, lam), atol=1e-12)
 
 
 def test_e_step_zero_marginal_policies():
@@ -135,11 +132,10 @@ def test_e_step_zero_marginal_policies():
     assert exc.value.index == 2
     # without mass on it the row is vacuous
     problem = make_problem([[1.0, 0.0]], channel, [0.5, 0.5, 0.0])
-    assert np.isfinite(log_likelihood(problem, Weights([0.0])))
-    # a marginal that underflows is -inf for L and an error for the E-step
-    assert log_likelihood(problem, Weights([800.0])) == -np.inf
+    assert np.isfinite(evaluate(problem, Weights([0.0])).loglik)
+    # a marginal that underflows is an error for the evaluation
     with pytest.raises(ZeroMarginal) as exc:
-        e_step(problem, Weights([800.0]))
+        evaluate(problem, Weights([800.0]))
     assert exc.value.index == 1
 
 
@@ -148,12 +144,12 @@ def test_log_likelihood_identity_channel_is_negative_entropy():
     problem = make_problem([[1.0, 0.0]], np.eye(2), tilde)
     lam = Weights([np.log(2)])  # model equals empirical
     expected = float(tilde @ np.log(tilde))
-    assert log_likelihood(problem, lam) == pytest.approx(expected, abs=1e-12)
+    assert evaluate(problem, lam).loglik == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_likelihood_uninformative_channel():
     problem = make_problem([[1.0, 0.0]], np.full((4, 2), 0.25), [0.1, 0.2, 0.3, 0.4])
-    assert log_likelihood(problem, Weights([1.3])) == pytest.approx(-np.log(4))
+    assert evaluate(problem, Weights([1.3])).loglik == pytest.approx(-np.log(4))
 
 
 def test_log_likelihood_two_by_two_enumeration():
@@ -162,7 +158,7 @@ def test_log_likelihood_two_by_two_enumeration():
     problem = make_problem([[1.0, 0.0]], channel, tilde)
     # lambda = 0: marginals are [0.6, 0.4]
     expected = 0.75 * np.log(0.6) + 0.25 * np.log(0.4)
-    assert log_likelihood(problem, Weights([0.0])) == pytest.approx(expected, abs=1e-14)
+    assert evaluate(problem, Weights([0.0])).loglik == pytest.approx(expected, abs=1e-14)
 
 
 def test_log_likelihood_nonpositive():
@@ -170,7 +166,7 @@ def test_log_likelihood_nonpositive():
     for _ in range(10):
         problem = random_problem(rng)
         lam = Weights(rng.uniform(-1, 1, size=problem.features.n_features))
-        assert log_likelihood(problem, lam) <= 0.0
+        assert evaluate(problem, lam).loglik <= 0.0
 
 
 def test_decomposition_tight_at_equal_weights():
@@ -179,7 +175,7 @@ def test_decomposition_tight_at_equal_weights():
         problem = random_problem(rng)
         lam = Weights(rng.uniform(-1, 1, size=problem.features.n_features))
         u, q, h = likelihood_decomposition(problem, lam, lam)
-        assert u + q + h == pytest.approx(log_likelihood(problem, lam), abs=1e-10)
+        assert u + q + h == pytest.approx(evaluate(problem, lam).loglik, abs=1e-10)
 
 
 def test_decomposition_identity_channel_zero_conditional_entropy():
@@ -197,7 +193,7 @@ def test_decomposition_lower_bound_random_pairs():
         lam = Weights(rng.uniform(-1, 1, size=k))
         lam_prev = Weights(rng.uniform(-1, 1, size=k))
         u, q, h = likelihood_decomposition(problem, lam, lam_prev)
-        assert u + q + h <= log_likelihood(problem, lam) + 1e-10
+        assert u + q + h <= evaluate(problem, lam).loglik + 1e-10
 
 
 def test_em_identity_channel_reduces_to_standard_maxent():
@@ -260,7 +256,7 @@ def test_em_fixed_point_certification():
         problem = easy_problem(rng)
         lam, trace = em_solve(problem, cfg)
         assert trace.converged
-        assert constraint_residual(problem, lam) <= cfg.lambda_tol
+        assert evaluate(problem, lam).residual <= cfg.lambda_tol
 
 
 def frozen_loop_problem():
@@ -277,7 +273,7 @@ def test_em_tight_tolerance_converges_on_the_residual(tol):
     assert trace.converged and trace.termination == "residual"
     assert len(trace) - 1 < 200
     assert trace.rows[-1].residual <= tol
-    assert constraint_residual(problem, lam) <= tol
+    assert evaluate(problem, lam).residual <= tol
     assert all(row.residual > tol for row in trace.rows[:-1])
 
 
@@ -331,7 +327,7 @@ def test_em_prior_init_runs():
     prior = Distribution(rng.dirichlet(np.ones(n)))
     lam, trace = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
     assert trace.converged
-    assert constraint_residual(problem, lam) <= 1e-5
+    assert evaluate(problem, lam).residual <= 1e-5
 
 
 def test_em_prior_init_never_loses_loglik_from_row_0():
@@ -355,14 +351,14 @@ def test_em_prior_of_the_wrong_length_is_rejected():
 
 def test_constraint_residual_uninformative_channel_zero():
     problem = make_problem([[1.0, 0.0]], np.full((3, 2), 1 / 3), [0.2, 0.5, 0.3])
-    assert constraint_residual(problem, Weights([0.9])) == pytest.approx(0.0, abs=1e-14)
+    assert evaluate(problem, Weights([0.9])).residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_constraint_residual_identity_channel_at_solution():
     tilde = np.array([0.6, 0.4])
     problem = make_problem([[1.0, 0.0]], np.eye(2), tilde)
     res = solve_standard_maxent(Distribution(tilde), problem.features)
-    assert constraint_residual(problem, res.weights) <= 1e-8
+    assert evaluate(problem, res.weights).residual <= 1e-8
 
 
 def test_trace_csv_schema():
@@ -438,13 +434,14 @@ def test_trace_rows_match_public_definitions():
     for row in trace.rows:
         lam = Weights(row.lam)
         u, q, h = likelihood_decomposition(problem, lam, prev or lam)
-        assert row.loglik == pytest.approx(log_likelihood(problem, lam), abs=1e-12)
+        ev = evaluate(problem, lam)
+        assert row.loglik == pytest.approx(ev.loglik, abs=1e-12)
         assert row.u_star == pytest.approx(u, abs=1e-12)
         assert row.q == pytest.approx(q, abs=1e-12)
         assert row.h == pytest.approx(h, abs=1e-12)
-        assert row.residual == pytest.approx(constraint_residual(problem, lam), abs=1e-12)
+        assert row.residual == pytest.approx(ev.residual, abs=1e-12)
         if prev is not None:
-            assert np.max(np.abs(row.phi_hat - e_step(problem, prev).phi_hat)) <= 1e-12
+            assert np.max(np.abs(row.phi_hat - evaluate(problem, prev).phi_hat)) <= 1e-12
         prev = lam
 
 

@@ -545,15 +545,24 @@ def test_cli_check_mismatched_sidecar(tmp_path, capsys):
     assert "sidecar" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sidecar", [[0.1, 0.2], {"lambda_true": [0.1, 0.2]}],
-                         ids=["list", "no-expectations"])
-def test_cli_check_malformed_sidecar_is_validation_error(tmp_path, capsys, sidecar):
+NEEDS_KEYS = "error: truth sidecar needs lambda_true and feature_expectations_true\n"
+NOT_A_BOOL = "error: truth sidecar's exact_marginal must be true or false\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda side: [0.1, 0.2], NEEDS_KEYS),
+    (lambda side: {"lambda_true": [0.1, 0.2]}, NEEDS_KEYS),
+    (lambda side: {**side, "exact_marginal": "false"}, NOT_A_BOOL),
+    (lambda side: {**side, "exact_marginal": 1}, NOT_A_BOOL),
+    (lambda side: {**side, "exact_marginal": None}, NOT_A_BOOL),
+], ids=["list", "no-expectations", "string-exact-marginal", "int-exact-marginal",
+        "null-exact-marginal"])
+def test_cli_check_malformed_sidecar_is_validation_error(tmp_path, capsys, edit, message):
     problem, truth = write_problem(tmp_path, seed=18)
-    truth.write_text(json.dumps(sidecar))
+    truth.write_text(json.dumps(edit(json.loads(truth.read_text()))))
     code = main(["check", str(problem), str(truth), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err == "error: truth sidecar needs lambda_true and feature_expectations_true\n"
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 
@@ -667,6 +676,20 @@ def test_cli_classifier_malformed_batch_csv_is_validation_error(tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "batch.csv" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["corrected", "ablated"])
+def test_cli_classifier_non_finite_batch_row_is_validation_error(tmp_path, capsys, ablate):
+    # the row used to be accepted as NaN and then blamed on a channel
+    problem = tmp_path / "cls.json"
+    dump_json(batch_problem_doc(), problem)
+    (tmp_path / "batch.csv").write_text("xi0,xi1\n0.5,0.5\nnan,1.0\n")
+    flags = ["--ablate-correction"] if ablate else []
+    code = main(["solve", str(problem), "--mode", "classifier", *flags,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: batch row 1 has a non-finite entry\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_classifier_mode_requires_block(tmp_path, capsys):

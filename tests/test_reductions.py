@@ -14,7 +14,7 @@ from umaxent import (
     ValidationError,
     Weights,
     ZeroMarginal,
-    e_step,
+    evaluate,
     is_deterministic_channel,
     latent_constraint_rhs,
     log_linear_distribution,
@@ -47,32 +47,28 @@ def two_by_two_factorization():
 
 def test_identity_channel_is_deterministic():
     channel = ObservationChannel.identity(3)
-    report = is_deterministic_channel(channel, Distribution([0.2, 0.5, 0.3]))
-    assert report
-    assert report.model_independent
+    assert is_deterministic_channel(channel, Distribution([0.2, 0.5, 0.3]))
+    assert has_disjoint_column_supports(channel)
 
 
 def test_uninformative_channel_not_deterministic():
     channel = ObservationChannel(np.full((2, 2), 0.5))
-    report = is_deterministic_channel(channel, Distribution([0.4, 0.6]))
-    assert not report
-    assert not report.model_independent
+    assert not is_deterministic_channel(channel, Distribution([0.4, 0.6]))
+    assert not has_disjoint_column_supports(channel)
 
 
 def test_more_observations_than_elements_still_deterministic():
     # three observations, two elements, each observation names one element
     channel = ObservationChannel([[0.5, 0.0], [0.5, 0.0], [0.0, 1.0]])
-    report = is_deterministic_channel(channel, Distribution([0.3, 0.7]))
-    assert report
-    assert report.model_independent
+    assert is_deterministic_channel(channel, Distribution([0.3, 0.7]))
+    assert has_disjoint_column_supports(channel)
 
 
 def test_posterior_determinism_can_be_model_dependent():
     # mixing channel looks deterministic when the model is a point mass
     channel = ObservationChannel(np.full((2, 2), 0.5))
-    report = is_deterministic_channel(channel, Distribution([1.0, 0.0]))
-    assert report.point_mass_posteriors
-    assert not report.model_independent
+    assert is_deterministic_channel(channel, Distribution([1.0, 0.0]))
+    assert not has_disjoint_column_supports(channel)
 
 
 def test_solve_standard_maxent_uniform():
@@ -186,7 +182,7 @@ def test_latent_estep_identity_pointwise():
     for _ in range(100):
         lam = Weights(rng.uniform(-2, 2, size=2))
         model = log_linear_distribution(lam, feat)
-        lhs = e_step(problem, lam).phi_hat
+        lhs = evaluate(problem, lam).phi_hat
         rhs = latent_constraint_rhs(fact, emp, model, feat)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -315,14 +311,12 @@ def test_reductions_match_loop_references(disjoint):
         for _ in range(5):
             lam = Weights(rng.uniform(-3, 3, size=feat.n_features))
             model = log_linear_distribution(lam, feat)
-            report = is_deterministic_channel(ch, model)
-            assert (report.point_mass_posteriors, report.model_independent) == \
+            assert (is_deterministic_channel(ch, model), has_disjoint_column_supports(ch)) == \
                 loop_is_deterministic(ch.matrix, model.probs)
             assert np.max(np.abs(lagrangian_extra_term(problem, lam)
                                  - loop_extra_term(problem, lam))) <= 1e-12
         point = Distribution.point_mass(feat.n_elements, int(rng.integers(feat.n_elements)))
-        report = is_deterministic_channel(ch, point)
-        assert (report.point_mass_posteriors, report.model_independent) == \
+        assert (is_deterministic_channel(ch, point), has_disjoint_column_supports(ch)) == \
             loop_is_deterministic(ch.matrix, point.probs)
         assert has_disjoint_column_supports(ch) == disjoint
         if disjoint:
