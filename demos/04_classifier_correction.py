@@ -27,7 +27,7 @@ rng = np.random.default_rng(42)
 # Two classes; the true deployment prior is [0.8, 0.2] but the classifier
 # was trained on a balanced set.
 features = FeatureTable([[1.0, 0.0]])
-label_map = LabelMap.from_assignment([0, 1], 2)
+label_map = LabelMap([0, 1], 2)
 lam_true = Weights([np.log(4.0)])
 truth = log_linear_distribution(lam_true, features)
 training_prior = Distribution([0.5, 0.5])

@@ -27,27 +27,26 @@ from .model import (
 
 @dataclass(frozen=True, eq=False)
 class LabelMap:
-    """Deterministic element-to-label assignment d(X, label) in {0, 1}."""
+    """Deterministic element-to-label map: labels[X] is the label of element X.
 
-    d: np.ndarray  # |X| x |labels| binary
+    d is its |X| x |labels| one-hot matrix d(X, label), built once, which
+    LabelChannel.matvec applies.
+    """
 
-    def __init__(self, d):
-        d = np.array(d, dtype=float)
-        if d.ndim != 2 or not np.all((d == 0) | (d == 1)):
-            raise ValidationError("label map must be a binary matrix")
-        if not np.all(d.sum(axis=1) == 1):
-            raise ValidationError("each element must map to exactly one label")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+    labels: np.ndarray  # |X| label indices
+    d: np.ndarray  # |X| x |labels| one-hot
 
-    @classmethod
-    def from_assignment(cls, assignment, n_labels):
+    def __init__(self, assignment, n_labels):
         for a in assignment:
             if not is_integer(a) or not 0 <= a < n_labels:
                 raise ValidationError(f"label map entry {a!r} is not a label in [0, {n_labels})")
-        d = np.zeros((len(assignment), n_labels))
-        d[np.arange(len(assignment)), assignment] = 1.0
-        return cls(d)
+        labels = np.array(assignment, dtype=np.intp)
+        d = np.zeros((labels.size, n_labels))
+        d[np.arange(labels.size), labels] = 1.0
+        labels.setflags(write=False)
+        d.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "d", d)
 
     @property
     def n_elements(self):
@@ -56,9 +55,6 @@ class LabelMap:
     @property
     def n_labels(self):
         return self.d.shape[1]
-
-    def label_of(self):
-        return self.d.argmax(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +92,7 @@ class SoftClassifierBatch:
     """Per-sample classifier output distributions plus the training prior.
 
     rows: N x |labels|, each row a distribution over labels. Every sample
-    weighs the same, 1/N (sample_weights).
+    weighs the same, 1/N.
     """
 
     rows: np.ndarray
@@ -137,13 +133,6 @@ class SoftClassifierBatch:
     def n_labels(self):
         return self.rows.shape[1]
 
-    @property
-    def sample_weights(self):
-        """The uniform weight 1/N of every sample, read-only."""
-        weights = np.full(self.n_samples, 1.0 / self.n_samples)
-        weights.setflags(write=False)
-        return weights
-
     @classmethod
     def from_csv(cls, path, training_prior):
         """Read a header line of label names, then one row of floats per sample."""
@@ -176,9 +165,10 @@ class LabelChannel:
     """A channel over labels composed with a label map: Pr(omega | X) = A[omega, d(X)].
 
     Provides the three products EM reads from a channel without forming the
-    |Omega| x |X| matrix; C log C is formed at label level. Readers that need
-    single entries (the reductions, problem files) use matrix, the dense
-    expansion, which is built anew on every access.
+    |Omega| x |X| matrix; C log C is formed at label level. rmatvec and
+    xlogx_rmatvec gather the label-level product by labels, exactly D u for
+    the one-hot D. Readers that need single entries (the reductions, problem
+    files) use matrix, the dense expansion, which is built anew on every access.
     """
 
     labels: ObservationChannel  # A: |Omega| x |labels|
@@ -203,16 +193,16 @@ class LabelChannel:
     @property
     def matrix(self):
         """The |Omega| x |X| expansion A D^T, D the label map; not cached."""
-        return self.labels.matrix[:, self.label_map.label_of()]
+        return self.labels.matrix[:, self.label_map.labels]
 
     def matvec(self, v):
         return self.labels.matvec(self.label_map.d.T @ v)
 
     def rmatvec(self, v):
-        return self.label_map.d @ self.labels.rmatvec(v)
+        return self.labels.rmatvec(v)[self.label_map.labels]
 
     def xlogx_rmatvec(self, v):
-        return self.label_map.d @ self.labels.xlogx_rmatvec(v)
+        return self.labels.xlogx_rmatvec(v)[self.label_map.labels]
 
 
 def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
@@ -250,10 +240,10 @@ def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
         scaled /= scaled.sum(axis=0).max()
         rest = np.maximum(1.0 - scaled.sum(axis=0), 0.0)
         channel = LabelChannel(ObservationChannel(np.vstack([scaled, rest])), label_map)
-        observed = Distribution(np.append(batch.sample_weights, 0.0))
+        observed = Distribution(np.append(np.full(batch.n_samples, 1.0 / batch.n_samples), 0.0))
     else:
         channel = LabelChannel(ObservationChannel.identity(batch.n_labels), label_map)
-        observed = Distribution(batch.sample_weights @ batch.rows)
+        observed = Distribution(np.full(batch.n_samples, 1.0 / batch.n_samples) @ batch.rows)
     return UMaxEntProblem(ElementSpace(range(features.n_elements)), features, channel,
                           EmpiricalObservations(observed))
 

@@ -21,6 +21,7 @@ from .errors import UMaxEntError, ValidationError
 from .harness import SyntheticSpec, dump_json, generate, load_problem
 from .model import (
     Distribution,
+    _as_float_array,
     feature_expectation,
     log_linear_distribution,
     observation_marginal,
@@ -41,11 +42,8 @@ def _em_config(loaded, args):
     """The file's EM settings with the command-line overrides, re-validated."""
     overrides = {"lambda_tol": args.tol, "max_em_iter": args.max_iter,
                  "init_mode": args.init, "seed": args.seed}
-    try:
-        return dataclasses.replace(
-            loaded.em_config, **{k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return dataclasses.replace(
+        loaded.em_config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _mode_problem(loaded, args):
@@ -108,12 +106,16 @@ def cmd_solve(args):
 
 def _read_truth(path, n_features):
     """The truth sidecar's feature expectations and exact_marginal flag, checked."""
-    sidecar = json.loads(Path(path).read_text())
+    try:
+        sidecar = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise ValidationError(f"truth sidecar {path} is not JSON: {exc}") from exc
     keys = ("lambda_true", "feature_expectations_true")
     if not isinstance(sidecar, dict) or not set(keys) <= sidecar.keys():
         raise ValidationError("truth sidecar needs lambda_true and feature_expectations_true")
     try:
-        lam_true, e_true = (np.asarray(sidecar[key], dtype=float) for key in keys)
+        lam_true, e_true = (_as_float_array(sidecar[key], f"truth sidecar's {key}", 1)
+                            for key in keys)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed truth sidecar: {' '.join(str(exc).split())}") from exc
     if lam_true.shape != (n_features,) or e_true.shape != (n_features,):
@@ -143,8 +145,7 @@ def cmd_check(args):
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump_json(report, out / f"{Path(args.problem).stem}_check.json")
-    print(dump_json(report), end="")
+    print(dump_json(report, out / f"{Path(args.problem).stem}_check.json"), end="")
     return EXIT_OK if result["converged"] else EXIT_MAX_ITER
 
 
@@ -169,9 +170,8 @@ def cmd_reduce(args):
         return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
-    (out / f"{Path(args.problem).stem}_reduce.json").write_text(payload)
-    print(payload, end="")
+    payload = [dataclasses.asdict(r) for r in reports]
+    print(dump_json(payload, out / f"{Path(args.problem).stem}_reduce.json"), end="")
     return EXIT_OK
 
 

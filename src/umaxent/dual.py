@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleTarget
-from .model import Weights, feature_expectation, is_integer, log_linear
+from .errors import DimensionMismatch, InfeasibleTarget, ValidationError
+from .model import Weights, _as_float_array, feature_expectation, is_integer, log_linear
 
 # Feasibility slack for the per-coordinate bounds check.
 _FEASIBILITY_EPS = 1e-9
@@ -20,7 +20,7 @@ _FEASIBILITY_EPS = 1e-9
 _SUFFICIENT_DECREASE = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-18
-# A solve stops, reported diverged, once some |lambda_k| passes this bound:
+# A solve stops, terminated "diverged", once some |lambda_k| passes this bound:
 # a boundary or exterior target drives the weights toward infinity.
 _DIVERGENCE_GUARD = 1e3
 # Rounding error of a computed dual value relative to the size of its terms:
@@ -35,9 +35,7 @@ class TargetExpectations:
     phi_hat: np.ndarray
 
     def __init__(self, phi_hat):
-        phi_hat = np.array(phi_hat, dtype=float)
-        if phi_hat.ndim != 1 or not np.all(np.isfinite(phi_hat)):
-            raise ValueError("target expectations must be a finite vector")
+        phi_hat = _as_float_array(phi_hat, "target expectations", 1)
         phi_hat.setflags(write=False)
         object.__setattr__(self, "phi_hat", phi_hat)
 
@@ -52,20 +50,26 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+            raise ValidationError("grad_tol must be positive")
         if not is_integer(self.max_iter) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer of at least 1, not {self.max_iter!r}")
+            raise ValidationError(
+                f"max_iter must be an integer of at least 1, not {self.max_iter!r}")
 
 
 @dataclass
 class SolverResult:
+    """termination says why the solve stopped: "gradient" (converged), "diverged",
+    "max_iter" or "no_step"."""
+
     weights: Weights
     dual_value: float
     grad_norm: float
     iterations: int
-    converged: bool
-    diverged: bool = False
-    message: str = ""
+    termination: str
+
+    @property
+    def converged(self):
+        return self.termination == "gradient"
 
 
 def _check(target, features):
@@ -132,13 +136,15 @@ def minimize_dual(target, features, init=None, config=None):
     descent, a steepest-descent step is tried instead: far from the
     solution the model can be nearly a point mass, and the Hessian then
     loses numerical rank along directions where the gradient is large.
-    If neither step moves, the solve stops unconverged.
+    If neither step moves, the solve stops unconverged with termination
+    "no_step".
 
-    Converged means the gradient sup-norm (equivalently the constraint
-    residual) dropped below config.grad_tol. Boundary or exterior targets
-    show up as some |lambda_k| passing _DIVERGENCE_GUARD (1e3), which stops
-    the solve diverged, or as config.max_iter running out; the best iterate
-    seen is returned either way.
+    Converged (termination "gradient") means the gradient sup-norm
+    (equivalently the constraint residual) dropped below config.grad_tol.
+    Boundary or exterior targets show up as some |lambda_k| passing
+    _DIVERGENCE_GUARD (1e3), which stops the solve "diverged", or as
+    config.max_iter running out ("max_iter"); the best iterate seen is
+    returned either way.
     """
     config = config or SolverConfig()
     _check(target, features)
@@ -152,20 +158,11 @@ def minimize_dual(target, features, init=None, config=None):
     for iterations in range(config.max_iter + 1):
         gnorm = np.abs(grad).max()
         if gnorm <= config.grad_tol:
-            return SolverResult(Weights(lam), f, gnorm, iterations, True)
+            return SolverResult(Weights(lam), f, gnorm, iterations, "gradient")
         if np.abs(lam).max() > _DIVERGENCE_GUARD:
-            return SolverResult(
-                Weights(best_lam),
-                best_f,
-                gnorm,
-                iterations,
-                False,
-                diverged=True,
-                message=f"some |lambda_k| exceeded the divergence guard {_DIVERGENCE_GUARD}",
-            )
+            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, "diverged")
         if iterations == config.max_iter:
-            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, False,
-                                message="max_iter exceeded")
+            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, "max_iter")
 
         # f is log Z - lambda.phi_hat; its rounding error scales with both terms.
         noise = _ROUNDING * (abs(f) + np.abs(lam) @ size)
@@ -173,11 +170,9 @@ def minimize_dual(target, features, init=None, config=None):
         moved = (_step(lam, f, grad, newton, noise, target, features)
                  or _step(lam, f, grad, -grad, noise, target, features))
         if moved is None:
-            return SolverResult(
-                Weights(best_lam), best_f, gnorm, iterations + 1, False,
-                message="no Newton or steepest-descent step lowers the dual value "
-                        "or, below its rounding, the gradient",
-            )
+            # no Newton or steepest-descent step lowers the dual value or,
+            # below its rounding, the gradient
+            return SolverResult(Weights(best_lam), best_f, gnorm, iterations + 1, "no_step")
         lam, f, grad, hess = moved
         if f <= best_f + noise:
             best_lam, best_f = lam, f

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dual import SolverConfig, TargetExpectations, minimize_dual, solve_standard_maxent
-from .errors import DimensionMismatch, ZeroMarginal
+from .errors import DimensionMismatch, ValidationError, ZeroMarginal
 from .model import (
     Distribution,
     EmpiricalObservations,
@@ -86,16 +86,16 @@ class EmConfig:
 
     def __post_init__(self):
         if not self.lambda_tol > 0:
-            raise ValueError("lambda_tol must be positive")
+            raise ValidationError("lambda_tol must be positive")
         for name in ("max_em_iter", "seed"):
             if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
+                raise ValidationError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.max_em_iter < 0:
-            raise ValueError("max_em_iter must be nonnegative")
+            raise ValidationError("max_em_iter must be nonnegative")
         if self.init_mode not in ("zero", "random", "prior"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+            raise ValidationError(f"unknown init_mode {self.init_mode!r}")
         if self.init_mode == "prior" and self.prior is None:
-            raise ValueError("init_mode 'prior' needs a prior distribution")
+            raise ValidationError("init_mode 'prior' needs a prior distribution")
 
 
 @dataclass

@@ -168,7 +168,12 @@ def load_problem(doc):
     if "latent" in doc:
         with _block("latent"):
             lat = doc["latent"]
-            embed = {(int(y), int(z)): int(x) for y, z, x in lat["embed"]}
+            embed = {}
+            for entry in lat["embed"]:
+                y, z, x = entry
+                if not all(map(is_integer, entry)):
+                    raise ValueError(f"embed entry {_plain(entry)!r} is not three integers")
+                embed[y, z] = x
             factorization = LatentFactorization(_plain(lat["y"]), _plain(lat["z"]), embed,
                                                 space.size)
 
@@ -177,12 +182,16 @@ def load_problem(doc):
     if "classifier" in doc:
         with _block("classifier"):
             cls = doc["classifier"]
-            label_map = LabelMap.from_assignment(_plain(cls["label_map"]), len(cls["labels"]))
+            label_map = LabelMap(_plain(cls["label_map"]), len(cls["labels"]))
             if "confusion" in cls:
                 profile = ClassifierProfile(cls["confusion"])
             if "training_prior" in cls:
                 training_prior = Distribution(cls["training_prior"])
             batch_csv = cls.get("batch_csv")
+            if batch_csv is not None and not isinstance(batch_csv, str):
+                raise ValueError(f"batch_csv {batch_csv!r} is not a file name")
+            if batch_csv is not None and training_prior is None:
+                raise ValueError("a batch_csv needs a training_prior")
 
     seed = doc.get("seed", 0)
     if not is_integer(seed):
@@ -216,10 +225,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        optional = () if self.n_samples is None else ("n_samples",)
+        for name in ("n_elements", "n_observations", "n_features", *optional):
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise ValidationError(f"{name} must be an integer of at least 1, not {value!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, not {self.seed!r}")
+        if not (np.isfinite(self.lambda_range) and self.lambda_range >= 0):
+            raise ValidationError("lambda_range must be finite and nonnegative, "
+                                  f"not {self.lambda_range!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError("epsilon must lie in [0, 1]")
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValidationError("need at least one sample")
         if self.n_observations < self.n_elements:
             raise ValidationError("need at least as many observations as elements")
 

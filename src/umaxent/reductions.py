@@ -7,11 +7,11 @@ vanishing extra gradient term of the full Lagrangian), the latent one as a
 pointwise identity on E-step outputs.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import LabelChannel, LabelMap
 from .dual import solve_standard_maxent
 from .em import EmConfig, UMaxEntProblem, em_solve, evaluate
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError, ZeroMarginal
@@ -103,9 +103,6 @@ class ReductionReport:
     identity_gap: float = None
     iterations: int = None
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
-
 
 def induced_empirical_x(problem):
     """Merge observation mass onto the unique supporting element per observation."""
@@ -155,13 +152,15 @@ class LatentFactorization:
     """Split of each element into an observed Y part and a hidden Z part.
 
     embed maps valid (y_index, z_index) pairs injectively onto element
-    indices and must cover the whole element set.
+    indices and must cover the whole element set; y_map is the element -> Y
+    index map it induces.
     """
 
     y_space: tuple
     z_space: tuple
     embed: dict  # (y_idx, z_idx) -> element index
     n_elements: int
+    y_map: LabelMap
 
     def __init__(self, y_space, z_space, embed, n_elements):
         y_space, z_space = tuple(y_space), tuple(z_space)
@@ -178,22 +177,16 @@ class LatentFactorization:
             raise ValidationError(f"embed key ({yi}, {zi}) out of range")
         y_of = np.empty(n_elements, dtype=int)
         y_of[targets] = pairs[:, 0]
-        y_of.setflags(write=False)
         object.__setattr__(self, "y_space", y_space)
         object.__setattr__(self, "z_space", z_space)
         object.__setattr__(self, "embed", embed)
         object.__setattr__(self, "n_elements", n_elements)
-        object.__setattr__(self, "_y_of", y_of)
-
-    def y_of_element(self):
-        """Element index -> Y index lookup (read-only)."""
-        return self._y_of
+        object.__setattr__(self, "y_map", LabelMap(y_of, len(y_space)))
 
     def y_channel(self):
         """Channel with Omega = Y: Pr(omega | X) = 1 iff X's Y part is omega."""
-        matrix = np.zeros((len(self.y_space), self.n_elements))
-        matrix[self.y_of_element(), np.arange(self.n_elements)] = 1.0
-        return ObservationChannel(matrix, observation_names=self.y_space)
+        identity = ObservationChannel(np.eye(len(self.y_space)), observation_names=self.y_space)
+        return LabelChannel(identity, self.y_map)
 
 
 def latent_constraint_rhs(fact, empirical_y, model, features):
@@ -207,7 +200,7 @@ def latent_constraint_rhs(fact, empirical_y, model, features):
         raise ValidationError("feature table does not match factorization size")
     if len(empirical_y) != len(fact.y_space):
         raise DimensionMismatch("Y values", len(fact.y_space), len(empirical_y))
-    y = fact.y_of_element()
+    y = fact.y_map.labels
     p = model.probs
     mass = np.bincount(y, weights=p, minlength=len(empirical_y))
     lost = np.flatnonzero((mass <= 0) & (empirical_y.probs > 0))

@@ -218,7 +218,7 @@ def test_criterion_8_classifier_reductions():
     rng = np.random.default_rng(108)
     # standard: labels are the elements, perfect point-mass rows
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     rows = np.eye(3)[rng.choice(3, size=300, p=[0.5, 0.3, 0.2])]
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
     lam, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
@@ -230,7 +230,7 @@ def test_criterion_8_classifier_reductions():
 
     # latent: labels are a 2-label quotient of 4 elements
     feat4 = FeatureTable(rng.uniform(-2, 2, size=(2, 4)))
-    lm4 = LabelMap.from_assignment([0, 0, 1, 1], 2)
+    lm4 = LabelMap([0, 0, 1, 1], 2)
     rows4 = np.eye(2)[rng.choice(2, size=300, p=[0.6, 0.4])]
     batch4 = SoftClassifierBatch(rows4, Distribution([0.5, 0.5]))
     lam4, trace4 = classifier_em_solve(feat4, batch=batch4, label_map=lm4)
@@ -258,7 +258,7 @@ def test_criterion_9_prior_correction_ablation():
     # two elements with true prior [0.8, 0.2]; the classifier was trained
     # with a uniform prior on the same six-signal generation channel
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     lam_true = Weights([np.log(4.0)])
     truth = log_linear_distribution(lam_true, feat)
     raw = np.array([[0.30, 0.25, 0.20, 0.10, 0.10, 0.05],

@@ -47,21 +47,21 @@ def hard_label_evaluation(emp, profile, lm, lam, feat):
 
 def test_label_map_requires_deterministic_rows():
     with pytest.raises(ValidationError):
-        LabelMap([[0.5, 0.5], [1.0, 0.0]])
-    lm = LabelMap.from_assignment([1, 0, 1], 2)
-    assert list(lm.label_of()) == [1, 0, 1]
+        LabelMap([[0.5, 0.5], [1.0, 0.0]], 2)
+    lm = LabelMap([1, 0, 1], 2)
+    assert list(lm.labels) == [1, 0, 1]
 
 
 @pytest.mark.parametrize("assignment", [[-1, 0], [True, False], [0.0, 1.0], [0, 2]],
                          ids=["negative", "bool", "float", "past-last-label"])
 def test_label_map_entries_are_label_indices(assignment):
     with pytest.raises(ValidationError, match="label map entry"):
-        LabelMap.from_assignment(assignment, 2)
+        LabelMap(assignment, 2)
 
 
 def test_profile_lift_builds_channel():
     confusion = np.array([[0.9, 0.1], [0.2, 0.8]])
-    lm = LabelMap.from_assignment([0, 1, 1], 2)
+    lm = LabelMap([0, 1, 1], 2)
     channel = ClassifierProfile(confusion).lift(lm)
     assert isinstance(channel, LabelChannel)
     # Pr(xi | X) columns follow the true label of each element
@@ -73,7 +73,7 @@ def test_profile_lift_builds_channel():
 def test_hard_label_perfect_classifier_is_standard_expectations():
     rng = np.random.default_rng(0)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     profile = ClassifierProfile(np.eye(3))
     emp = Distribution(rng.dirichlet(np.ones(3)))
     out = hard_label_evaluation(emp, profile, lm, Weights(rng.normal(size=2)), feat)
@@ -85,7 +85,7 @@ def test_hard_label_quotient_equals_latent_rhs():
     rng = np.random.default_rng(1)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 4)))
     assignment = [0, 0, 1, 1]
-    lm = LabelMap.from_assignment(assignment, 2)
+    lm = LabelMap(assignment, 2)
     profile = ClassifierProfile(np.eye(2))
     emp = Distribution([0.6, 0.4])
     fact = LatentFactorization(
@@ -102,7 +102,7 @@ def test_hard_label_quotient_equals_latent_rhs():
 
 def test_hard_label_symmetric_confusion_hand_computed():
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     profile = ClassifierProfile([[0.9, 0.1], [0.1, 0.9]])
     emp = Distribution([0.5, 0.5])
     lam = Weights([0.0])  # model [0.5, 0.5]
@@ -115,7 +115,7 @@ def test_soft_correction_identity_when_priors_match():
     # a training prior equal to the model's label marginal corrects nothing
     rng = np.random.default_rng(2)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
-    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 2], 4)
+    lm = LabelMap([0, 1, 2, 3, 0, 2], 4)
     for _ in range(20):
         lam = Weights(rng.normal(size=2))
         prior = Distribution(lm.d.T @ log_linear_distribution(lam, feat).probs)
@@ -128,7 +128,7 @@ def test_soft_correction_identity_when_priors_match():
 
 def test_soft_correction_point_mass_stays_point_mass():
     feat = FeatureTable([[1.0, 0.0, 0.5], [0.0, 2.0, 1.0]])
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     batch = SoftClassifierBatch([[0.0, 1.0, 0.0]], Distribution([0.3, 0.3, 0.4]))
     lam = Weights([0.4, -0.7])
     out = evaluate(classifier_problem(feat, batch, lm), lam)
@@ -138,7 +138,7 @@ def test_soft_correction_point_mass_stays_point_mass():
 def test_soft_correction_hand_computed():
     # labels are the elements; the model [0.9, 0.1] replaces the prior [0.5, 0.5]
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     batch = SoftClassifierBatch([[0.6, 0.4]], Distribution([0.5, 0.5]))
     out = evaluate(classifier_problem(feat, batch, lm), Weights([np.log(9.0)]))
     assert out.phi_hat[0] == pytest.approx(0.54 / 0.58, abs=1e-14)
@@ -146,7 +146,7 @@ def test_soft_correction_hand_computed():
 
 def test_soft_correction_errors():
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     with pytest.raises(ZeroTrainingPrior):
         evaluate(classifier_problem(
             feat, SoftClassifierBatch([[0.5, 0.5]], Distribution([1.0, 0.0])), lm),
@@ -168,14 +168,14 @@ def test_batch_validation():
             SoftClassifierBatch([[0.6, 0.4], [cell, 1.0]], prior)
     batch = SoftClassifierBatch([[0.6, 0.4], [0.2, 0.8]], prior)
     assert batch.n_samples == 2
-    assert np.array_equal(batch.sample_weights, [0.5, 0.5])
-    assert not batch.sample_weights.flags.writeable
+    problem = classifier_problem(FeatureTable([[0.0, 1.0]]), batch, LabelMap([0, 1], 2))
+    assert np.array_equal(problem.empirical.probs, [0.5, 0.5, 0.0])
 
 
 def test_soft_e_step_perfect_point_mass_rows():
     rng = np.random.default_rng(3)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     rows = np.eye(3)[[0, 0, 1, 2]]  # labeled X counts: [2, 1, 1]
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
     out = evaluate(classifier_problem(feat, batch, lm), Weights(rng.normal(size=2)))
@@ -186,7 +186,7 @@ def test_soft_e_step_perfect_point_mass_rows():
 def test_soft_e_step_uninformative_rows_return_model_expectations():
     rng = np.random.default_rng(4)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     rows = np.full((5, 3), 1 / 3)
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
     lam = Weights(rng.normal(size=2))
@@ -198,7 +198,7 @@ def test_soft_e_step_uninformative_rows_return_model_expectations():
 def test_soft_e_step_enumeration():
     # 2 elements = 2 labels, 4 hand-built rows, checked against the double sum
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     rows = np.array([[0.9, 0.1], [0.4, 0.6], [0.7, 0.3], [0.2, 0.8]])
     training_prior = Distribution([0.6, 0.4])
     batch = SoftClassifierBatch(rows, training_prior)
@@ -219,7 +219,7 @@ def test_degenerate_rows_skipped_with_renormalized_weights():
     # rows are never dropped: a row whose corrected mass underflows to zero
     # is an error, like any observation the model cannot produce
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     batch = SoftClassifierBatch(rows, Distribution([0.5, 0.5]))
     # model with zero mass on element 1 is impossible log-linearly, so
@@ -233,7 +233,7 @@ def test_degenerate_rows_skipped_with_renormalized_weights():
 def test_soft_row_on_labels_without_elements_is_rejected():
     # label 2 owns no element, so row 1, all on label 2, cannot be produced
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 3)
+    lm = LabelMap([0, 1], 3)
     batch = SoftClassifierBatch([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
                                 Distribution(np.full(3, 1 / 3)))
     with pytest.raises(ZeroMarginal, match="no element can produce it") as exc:
@@ -244,7 +244,7 @@ def test_soft_row_on_labels_without_elements_is_rejected():
 def test_classifier_em_perfect_batch_matches_standard():
     rng = np.random.default_rng(5)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     rows = np.eye(3)[rng.choice(3, size=200, p=[0.5, 0.3, 0.2])]
     batch = SoftClassifierBatch(rows, Distribution(np.full(3, 1 / 3)))
     lam, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
@@ -259,7 +259,7 @@ def test_classifier_em_perfect_batch_matches_standard():
 def test_classifier_em_soft_trace_targets_are_soft_e_steps():
     rng = np.random.default_rng(8)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=50),
                                 Distribution([0.5, 0.3, 0.2]))
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm)
@@ -277,7 +277,7 @@ def crit9_batch():
     """The criterion-9 batch: 1e5 classifier rows trained under a uniform prior."""
     rng = np.random.default_rng(42)
     feat = FeatureTable([[1.0, 0.0]])
-    lm = LabelMap.from_assignment([0, 1], 2)
+    lm = LabelMap([0, 1], 2)
     truth = log_linear_distribution(Weights([np.log(4.0)]), feat)
     raw = np.array([[0.30, 0.25, 0.20, 0.10, 0.10, 0.05],
                     [0.05, 0.10, 0.10, 0.20, 0.25, 0.30]])
@@ -306,7 +306,7 @@ def test_classifier_em_soft_loglik_is_soft_likelihood_up_to_constant():
     shifts = []
     for row in trace.rows:
         labels = lm.d.T @ log_linear_distribution(Weights(row.lam), feat).probs
-        l_soft = batch.sample_weights @ np.log(scaled @ labels)
+        l_soft = np.full(batch.n_samples, 1 / batch.n_samples) @ np.log(scaled @ labels)
         shifts.append(row.loglik - l_soft)
     assert np.ptp(shifts) <= 1e-12
     assert shifts[0] == pytest.approx(-np.log(scaled.sum(axis=0).max()), abs=1e-12)
@@ -317,7 +317,7 @@ def test_classifier_em_soft_prior_init_starts_at_prior_m_projection():
     # feature expectations, and its targets are the E-step there
     rng = np.random.default_rng(9)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
-    lm = LabelMap.from_assignment([0, 1, 2, 0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2, 0, 1, 2], 3)
     batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=40),
                                 Distribution([0.2, 0.3, 0.5]))
     prior = Distribution(rng.dirichlet(np.ones(6)))
@@ -339,7 +339,7 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
     # the factored channel against its |Omega| x |X| expansion, term by term
     rng = np.random.default_rng(10)
     feat = FeatureTable(rng.uniform(-2, 2, size=(3, 7)))
-    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 2, 2], 4)
+    lm = LabelMap([0, 1, 2, 3, 0, 2, 2], 4)
     rows = rng.dirichlet(np.ones(4), size=12)
     rows[rng.random(rows.shape) < 0.3] = 0.0
     rows[:, 0] += 0.1
@@ -379,7 +379,7 @@ def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
     scores = np.zeros((6, 3))
     scores[np.arange(6), owner] = rng.uniform(0.1, 1.0, size=6)
     labels = ObservationChannel(scores / scores.sum(axis=0))
-    lm = LabelMap.from_assignment([2, 0, 1], 3)
+    lm = LabelMap([2, 0, 1], 3)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
     emp = EmpiricalObservations(Distribution(rng.dirichlet(np.ones(6))))
     factored = UMaxEntProblem(ElementSpace(range(3)), feat, LabelChannel(labels, lm), emp)
@@ -397,13 +397,13 @@ def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
 
 def test_label_channel_checks_label_count():
     with pytest.raises(DimensionMismatch):
-        LabelChannel(ObservationChannel.identity(3), LabelMap.from_assignment([0, 1], 2))
+        LabelChannel(ObservationChannel.identity(3), LabelMap([0, 1], 2))
 
 
 def test_classifier_em_hard_path_runs():
     rng = np.random.default_rng(6)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    lm = LabelMap.from_assignment([0, 1, 2], 3)
+    lm = LabelMap([0, 1, 2], 3)
     profile = ClassifierProfile(0.8 * np.eye(3) + 0.2 / 3 * np.ones((3, 3)))
     emp = Distribution(rng.dirichlet(np.ones(3)))
     lam, trace = classifier_em_solve(feat, empirical_xi=emp, label_map=lm,
@@ -416,7 +416,7 @@ def test_hard_label_channel_matches_the_dense_lift(seed):
     # the label-level channel against the dense |labels| x |X| lift it replaced
     rng = np.random.default_rng(100 + seed)
     n, labels = rng.integers(3, 12), rng.integers(2, 6)
-    lm = LabelMap.from_assignment(rng.integers(0, labels, size=n), labels)
+    lm = LabelMap(rng.integers(0, labels, size=n), labels)
     confusion = rng.dirichlet(np.ones(labels) * 0.5, size=labels)
     confusion = 0.5 * np.eye(labels) + 0.5 * confusion
     profile = ClassifierProfile(confusion)
@@ -424,7 +424,7 @@ def test_hard_label_channel_matches_the_dense_lift(seed):
     emp = Distribution(rng.dirichlet(np.ones(labels)))
     factored = classifier_problem(feat, empirical_xi=emp, label_map=lm, profile=profile)
     dense = UMaxEntProblem(factored.space, feat,
-                           ObservationChannel(profile.confusion[lm.label_of()].T),
+                           ObservationChannel(profile.confusion[lm.labels].T),
                            EmpiricalObservations(emp))
     assert np.array_equal(factored.channel.matrix, dense.channel.matrix)
     lam_f, trace_f = em_solve(factored)
@@ -440,7 +440,7 @@ def budget_problems():
     """One fixed soft batch, its ablation and one hard-label problem on 8 elements."""
     rng = np.random.default_rng(31)
     feat = FeatureTable(rng.uniform(-2, 2, size=(3, 8)))
-    lm = LabelMap.from_assignment([0, 1, 2, 3, 0, 1, 2, 3], 4)
+    lm = LabelMap([0, 1, 2, 3, 0, 1, 2, 3], 4)
     batch = SoftClassifierBatch(rng.dirichlet(np.ones(4), size=60),
                                 Distribution([0.1, 0.2, 0.3, 0.4]))
     profile = ClassifierProfile(0.7 * np.eye(4) + 0.3 / 4)

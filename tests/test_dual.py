@@ -174,9 +174,8 @@ def test_minimize_dual_boundary_target_hits_guard():
     feat = FeatureTable([[1e-3, 0.0]])
     res = minimize_dual(TargetExpectations([1e-3]), feat)
     assert not res.converged
-    assert res.diverged
+    assert res.termination == "diverged"
     assert res.iterations == 1
-    assert "divergence guard" in res.message
 
 
 
@@ -185,8 +184,8 @@ def test_minimize_dual_max_iter_exit():
     res = minimize_dual(TargetExpectations([0.9]), FeatureTable([[1.0, 0.0]]),
                         config=SolverConfig(max_iter=1))
     assert res.iterations == 1
-    assert not res.converged and not res.diverged
-    assert res.message == "max_iter exceeded"
+    assert not res.converged
+    assert res.termination == "max_iter"
 
 def test_minimize_dual_tight_tolerance():
     # grad_tol far below what the Armijo test on f ~ 1 can resolve
@@ -196,7 +195,7 @@ def test_minimize_dual_tight_tolerance():
         phi_hat = values @ rng.dirichlet(np.ones(6))
         res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
                             config=SolverConfig(grad_tol=1e-12, max_iter=200))
-        assert res.converged, res.message
+        assert res.converged, res.termination
         assert res.grad_norm <= 1e-12
 
 
@@ -206,9 +205,9 @@ def test_minimize_dual_unreachable_tolerance_reports_rounding():
     phi_hat = values @ rng.dirichlet(np.ones(6))
     res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
                         config=SolverConfig(grad_tol=1e-300))
-    assert not res.converged and not res.diverged
+    assert not res.converged
     assert res.iterations < 20
-    assert "rounding" in res.message
+    assert res.termination == "no_step"
     assert res.grad_norm <= 1e-14
 
 
@@ -230,7 +229,7 @@ def test_minimize_dual_far_start_converges():
     phi_hat = values @ rng.dirichlet(np.ones(12))
     res = minimize_dual(TargetExpectations(phi_hat), FeatureTable(values),
                         init=Weights(rng.uniform(-2, 2, size=4)))
-    assert res.converged, res.message
+    assert res.converged, res.termination
     assert res.iterations <= 100
 
 

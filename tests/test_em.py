@@ -10,9 +10,12 @@ from umaxent import (
     EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
+    SolverConfig,
     SolverResult,
     SyntheticSpec,
+    TargetExpectations,
     UMaxEntProblem,
+    ValidationError,
     Weights,
     ZeroMarginal,
     em_solve,
@@ -25,6 +28,22 @@ from umaxent import (
     observation_marginal,
     solve_standard_maxent,
 )
+
+
+def test_settings_raise_validation_error():
+    # every bad setting raises the type every model type raises
+    with pytest.raises(ValidationError, match="^lambda_tol must be positive$"):
+        EmConfig(lambda_tol=0.0)
+    with pytest.raises(ValidationError, match="^unknown init_mode 'warm'$"):
+        EmConfig(init_mode="warm")
+    with pytest.raises(ValidationError, match="^grad_tol must be positive$"):
+        SolverConfig(grad_tol=float("nan"))
+    with pytest.raises(ValidationError, match="^max_iter must be an integer of at least 1"):
+        SolverConfig(max_iter=0)
+    with pytest.raises(ValidationError, match="target expectations contains non-finite"):
+        TargetExpectations([0.5, np.inf])
+    with pytest.raises(ValidationError, match="target expectations must be 1-dimensional"):
+        TargetExpectations([[0.5]])
 
 
 def make_problem(values, channel_matrix, empirical):
@@ -290,7 +309,7 @@ def test_em_dense_audit_is_monotone_and_bounding_with_inexact_m_steps():
 
 def test_em_stops_when_the_m_step_cannot_move(monkeypatch):
     def frozen(target, features, init=None, config=None):
-        return SolverResult(init, 0.0, 1.0, 0, False, message="no step")
+        return SolverResult(init, 0.0, 1.0, 0, "no_step")
 
     monkeypatch.setattr(umaxent.em, "minimize_dual", frozen)
     lam, trace = em_solve(easy_problem(np.random.default_rng(29)))

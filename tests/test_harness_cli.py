@@ -37,6 +37,30 @@ def test_spec_validation():
         SyntheticSpec(3, 4, 2, n_samples=0)
     with pytest.raises(ValidationError):
         SyntheticSpec(4, 3, 2)
+    for sizes in [(0, 4, 2), (-1, 4, 2), (3, 4, 0), (3.0, 4, 2), (3, 4, True)]:
+        with pytest.raises(ValidationError, match="must be an integer of at least 1"):
+            SyntheticSpec(*sizes)
+    with pytest.raises(ValidationError, match="n_samples"):
+        SyntheticSpec(3, 4, 2, n_samples=2.5)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            SyntheticSpec(3, 4, 2, seed=seed)
+    for bound in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValidationError, match="lambda_range must be finite"):
+            SyntheticSpec(3, 4, 2, lambda_range=bound)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--elements", "0"], ["--elements", "-1"], ["--seed", "-1"], ["--lambda-range", "nan"],
+], ids=["zero-elements", "negative-elements", "negative-seed", "nan-lambda-range"])
+def test_cli_generate_rejects_invalid_spec(tmp_path, capsys, flags):
+    # a repeated flag overrides the valid value before it
+    code = main(["generate", "--elements", "3", "--observations", "4", "--features", "2",
+                 *flags, "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_deterministic_per_seed():
@@ -163,6 +187,12 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     assert "column 0" in capsys.readouterr().err
 
 
+def latent_block(first_entry):
+    """A latent block over the 3 elements of write_problem's file, first entry replaced."""
+    return {"y": ["y0", "y1"], "z": ["z0", "z1"],
+            "embed": [first_entry, [0, 1, 1], [1, 0, 2]]}
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(solver={"step_size": 0.1}),
     lambda d: d.update(em={"lambda_tolerance": 1e-6}),
@@ -194,6 +224,16 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     lambda d: d["channel"]["matrix"][0].__setitem__(0, float("nan")),
     lambda d: d["channel"]["matrix"][0].__setitem__(0, float("inf")),
     lambda d: d["channel"]["matrix"][0].__setitem__(0, True),
+    lambda d: d.update(classifier={"labels": ["l0", "l1"], "label_map": [0, 1, 1],
+                                   "batch_csv": "batch.csv"}),
+    lambda d: d.update(classifier={"labels": ["l0", "l1"], "label_map": [0, 1, 1],
+                                   "training_prior": [0.5, 0.5], "batch_csv": 5}),
+    lambda d: d.update(classifier={"labels": ["l0", "l1"], "label_map": [0, 1, 1],
+                                   "training_prior": [0.5, 0.5], "batch_csv": ["batch.csv"]}),
+    lambda d: d.update(latent=latent_block([0.7, 0, 0])),
+    lambda d: d.update(latent=latent_block(["0", 0, 0])),
+    lambda d: d.update(latent=latent_block([False, 0, 0])),
+    lambda d: d.update(latent=latent_block([0.0, 0.0, 0.0])),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
         "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter",
@@ -201,7 +241,8 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
         "nan-lambda-tol", "negative-divergence-guard", "nan-divergence-guard",
         "float-max-iter", "float-em-seed", "float-max-em-iter", "bool-max-em-iter",
         "negative-label-map-entry", "bool-label-map", "nan-in-row", "infinity-in-row",
-        "bool-in-row"])
+        "bool-in-row", "batch-csv-without-training-prior", "int-batch-csv", "list-batch-csv",
+        "float-embed-index", "string-embed-index", "bool-embed-index", "float-embed-entry"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -547,6 +588,7 @@ def test_cli_check_mismatched_sidecar(tmp_path, capsys):
 
 NEEDS_KEYS = "error: truth sidecar needs lambda_true and feature_expectations_true\n"
 NOT_A_BOOL = "error: truth sidecar's exact_marginal must be true or false\n"
+NON_FINITE = "error: truth sidecar's {} contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -555,14 +597,28 @@ NOT_A_BOOL = "error: truth sidecar's exact_marginal must be true or false\n"
     (lambda side: {**side, "exact_marginal": "false"}, NOT_A_BOOL),
     (lambda side: {**side, "exact_marginal": 1}, NOT_A_BOOL),
     (lambda side: {**side, "exact_marginal": None}, NOT_A_BOOL),
+    (lambda side: {**side, "feature_expectations_true": [float("nan")] * 2},
+     NON_FINITE.format("feature_expectations_true")),
+    (lambda side: {**side, "lambda_true": [0.0, float("inf")]}, NON_FINITE.format("lambda_true")),
 ], ids=["list", "no-expectations", "string-exact-marginal", "int-exact-marginal",
-        "null-exact-marginal"])
+        "null-exact-marginal", "nan-expectations", "infinite-lambda"])
 def test_cli_check_malformed_sidecar_is_validation_error(tmp_path, capsys, edit, message):
     problem, truth = write_problem(tmp_path, seed=18)
     truth.write_text(json.dumps(edit(json.loads(truth.read_text()))))
     code = main(["check", str(problem), str(truth), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_sidecar_that_is_not_json_is_named(tmp_path, capsys):
+    problem, truth = write_problem(tmp_path, seed=18)
+    truth.write_text("{not json")
+    code = main(["check", str(problem), str(truth), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: truth sidecar {truth} is not JSON: ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

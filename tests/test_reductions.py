@@ -14,6 +14,7 @@ from umaxent import (
     ValidationError,
     Weights,
     ZeroMarginal,
+    dump_json,
     evaluate,
     is_deterministic_channel,
     latent_constraint_rhs,
@@ -212,10 +213,11 @@ def test_verify_latent_reduction_trivial_z():
 
 def test_reduction_report_json():
     import json
+    from dataclasses import asdict
 
     rng = np.random.default_rng(8)
     problem = make_problem(rng.uniform(-2, 2, size=(1, 2)), np.eye(2), [0.5, 0.5])
-    doc = json.loads(verify_maxent_reduction(problem).to_json())
+    doc = json.loads(dump_json(asdict(verify_maxent_reduction(problem))))
     assert doc["reduction"] == "standard"
     assert set(doc) == {"reduction", "tv_distance", "residual",
                         "extra_term_norm", "identity_gap", "iterations"}
@@ -360,7 +362,7 @@ def test_latent_rhs_zero_mass_y():
     rng = np.random.default_rng(24)
     fact = shuffled_factorization(rng, 3, 3)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, fact.n_elements)))
-    y = fact.y_of_element()
+    y = fact.y_map.labels
     probs = rng.dirichlet(np.ones(fact.n_elements))
     probs[y == 1] = 0.0
     model = Distribution(probs / probs.sum())
