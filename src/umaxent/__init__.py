@@ -39,11 +39,9 @@ from .errors import (
     ZeroMarginal,
     ZeroTrainingPrior,
 )
-from .harness import SyntheticSpec, dump_json, generate, load_problem, problem_to_dict
+from .harness import SyntheticSpec, dump_json, generate, load_problem
 from .model import (
     Distribution,
-    ElementSpace,
-    EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
     Weights,

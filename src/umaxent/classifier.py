@@ -16,13 +16,7 @@ import numpy as np
 
 from .em import UMaxEntProblem, em_solve
 from .errors import DimensionMismatch, ValidationError, ZeroTrainingPrior
-from .model import (
-    Distribution,
-    ElementSpace,
-    EmpiricalObservations,
-    ObservationChannel,
-    is_integer,
-)
+from .model import Distribution, ObservationChannel, is_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +161,8 @@ class LabelChannel:
     Provides the three products EM reads from a channel without forming the
     |Omega| x |X| matrix; C log C is formed at label level. rmatvec and
     xlogx_rmatvec gather the label-level product by labels, exactly D u for
-    the one-hot D. Readers that need single entries (the reductions, problem
-    files) use matrix, the dense expansion, which is built anew on every access.
+    the one-hot D. Readers that need single entries (the reductions) use
+    matrix, the dense expansion, which is built anew on every access.
     """
 
     labels: ObservationChannel  # A: |Omega| x |labels|
@@ -244,8 +238,7 @@ def classifier_problem(features, batch=None, label_map=None, empirical_xi=None,
     else:
         channel = LabelChannel(ObservationChannel.identity(batch.n_labels), label_map)
         observed = Distribution(np.full(batch.n_samples, 1.0 / batch.n_samples) @ batch.rows)
-    return UMaxEntProblem(ElementSpace(range(features.n_elements)), features, channel,
-                          EmpiricalObservations(observed))
+    return UMaxEntProblem(features, channel, observed)
 
 
 def classifier_em_solve(features, batch=None, label_map=None, empirical_xi=None,

@@ -58,7 +58,7 @@ def _mode_problem(loaded, args):
     if loaded.label_map is None:
         raise UMaxEntError("problem file has no classifier block")
     if loaded.batch_csv is None:
-        return classifier_problem(problem.features, empirical_xi=problem.empirical.dist,
+        return classifier_problem(problem.features, empirical_xi=problem.empirical,
                                   label_map=loaded.label_map, profile=loaded.profile)
     batch = SoftClassifierBatch.from_csv(Path(args.problem).parent / loaded.batch_csv,
                                          loaded.training_prior)
@@ -161,7 +161,7 @@ def cmd_reduce(args):
         if disjoint:
             empirical_y = observation_marginal(induced_empirical_x(problem), fact.y_channel())
         else:
-            empirical_y = problem.empirical.dist
+            empirical_y = problem.empirical
         reports.append(verify_latent_reduction(
             fact, empirical_y, problem.features, config
         ))

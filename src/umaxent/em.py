@@ -31,7 +31,6 @@ from .dual import SolverConfig, TargetExpectations, minimize_dual, solve_standar
 from .errors import DimensionMismatch, ValidationError, ZeroMarginal
 from .model import (
     Distribution,
-    EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
     Weights,
@@ -44,26 +43,28 @@ logger = logging.getLogger(__name__)
 
 # init_mode "random" draws each initial weight uniformly from +-INIT_SCALE.
 INIT_SCALE = 0.1
-# Inexact M-step: each one runs to min(inner.grad_tol, GRAD_TOL_SHARE * residual).
+# Each M-step runs to min(inner.grad_tol, GRAD_TOL_SHARE * residual). This never
+# loosens grad_tol; it only keeps the solver tolerance from putting a floor under
+# the residual EM can reach.
 GRAD_TOL_SHARE = 0.1
 
 
 @dataclass(frozen=True, eq=False)
 class UMaxEntProblem:
-    space: object
+    """Features over the finite element set X, a channel Pr(omega | X) and the
+    empirical distribution of observations Pr~(omega). features.n_elements is |X|."""
+
     features: FeatureTable
     channel: ObservationChannel
-    empirical: EmpiricalObservations
+    empirical: Distribution
 
     def __post_init__(self):
-        n = self.space.size
-        if self.features.n_elements != n:
-            raise DimensionMismatch("elements", n, self.features.n_elements)
+        n = self.features.n_elements
         if self.channel.n_elements != n:
             raise DimensionMismatch("elements", n, self.channel.n_elements)
-        if len(self.empirical.dist) != self.channel.n_observations:
+        if len(self.empirical) != self.channel.n_observations:
             raise DimensionMismatch(
-                "observations", self.channel.n_observations, len(self.empirical.dist)
+                "observations", self.channel.n_observations, len(self.empirical)
             )
         dead = (self.empirical.probs > 0) & (self.channel.matvec(np.ones(n)) <= 0)
         if np.any(dead):
@@ -126,14 +127,16 @@ class EmTrace:
     def logliks(self):
         return np.array([r.loglik for r in self.rows])
 
-    def to_csv(self, target):
-        """Write the trace as CSV (17 significant digits per value)."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", newline="") as fh:
-                self.to_csv(fh)
-            return
+    def to_csv(self, path):
+        """Write to_csv_string() to path."""
+        with open(path, "w", newline="") as fh:
+            fh.write(self.to_csv_string())
+
+    def to_csv_string(self):
+        """The trace as CSV (17 significant digits per value)."""
         k = len(self.rows[0].lam) if self.rows else 0
-        writer = csv.writer(target)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(
             ["iter", "loglik", "Q", "H", "U_star", "residual"]
             + [f"lambda_{i}" for i in range(k)]
@@ -144,10 +147,6 @@ class EmTrace:
                 + [format(v, ".17g") for v in (r.loglik, r.q, r.h, r.u_star, r.residual)]
                 + [format(v, ".17g") for v in r.lam]
             )
-
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
         return buf.getvalue()
 
 

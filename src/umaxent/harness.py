@@ -21,11 +21,9 @@ import orjson
 from .classifier import ClassifierProfile, LabelMap
 from .dual import SolverConfig
 from .em import EmConfig, UMaxEntProblem
-from .errors import UMaxEntError, ValidationError
+from .errors import DimensionMismatch, UMaxEntError, ValidationError
 from .model import (
     Distribution,
-    ElementSpace,
-    EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
     Weights,
@@ -48,26 +46,6 @@ class LoadedProblem:
     profile: ClassifierProfile = None
     training_prior: Distribution = None
     batch_csv: str = None
-
-
-def problem_to_dict(problem, seed=0):
-    doc = {
-        "elements": list(problem.space.elements),
-        "features": {
-            "names": list(problem.features.feature_names),
-            "values": problem.features.values.tolist(),
-        },
-        "channel": {
-            "observations": list(problem.channel.observation_names),
-            "matrix": problem.channel.matrix.tolist(),
-        },
-        "seed": seed,
-    }
-    if problem.empirical.counts is not None:
-        doc["empirical"] = {"counts": problem.empirical.counts.tolist()}
-    else:
-        doc["empirical"] = {"exact": problem.empirical.probs.tolist()}
-    return doc
 
 
 def _parse_array(s_and_end, scan_once):
@@ -110,6 +88,15 @@ def _plain(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
+def _name_list(values, key):
+    """A list of names or labels (key in its block) as the stdlib decoder gives
+    it; None, an optional list left out, passes. A string is not a list."""
+    values = _plain(values)
+    if values is not None and not isinstance(values, list):
+        raise TypeError(f"{key} {values!r} is not a list")
+    return values
+
+
 @contextmanager
 def _block(name):
     """Re-raise a malformed block's conversion errors as one-line ValidationErrors."""
@@ -138,21 +125,30 @@ def load_problem(doc):
             except RecursionError as exc:
                 raise ValidationError(f"problem file {doc} nests too deeply to decode") from exc
     with _block("elements"):
-        space = ElementSpace(_plain(doc["elements"]))
+        # the identifiers are checked, then dropped: |X| is features.n_elements
+        elements = _name_list(doc["elements"], "elements")
+        if len(set(elements)) != len(elements):
+            raise ValueError("element identifiers must be unique")
     with _block("features"):
         features = FeatureTable(doc["features"]["values"],
-                                _plain(doc["features"].get("names")))
+                                _name_list(doc["features"].get("names"), "names"))
     with _block("channel"):
         channel = ObservationChannel(
-            doc["channel"]["matrix"], _plain(doc["channel"].get("observations"))
+            doc["channel"]["matrix"],
+            _name_list(doc["channel"].get("observations"), "observations"),
         )
     with _block("empirical"):
         emp = doc["empirical"]
         if "counts" in emp:
-            empirical = EmpiricalObservations(counts=emp["counts"])
+            counts = np.asarray(emp["counts"])
+            if counts.ndim != 1 or np.any(counts < 0) or counts.sum() <= 0:
+                raise ValueError("counts must be a nonnegative vector with positive total")
+            empirical = Distribution(counts / counts.sum())
         else:
-            empirical = EmpiricalObservations(Distribution(emp["exact"]))
-    problem = UMaxEntProblem(space, features, channel, empirical)
+            empirical = Distribution(emp["exact"])
+    if len(elements) != features.n_elements:
+        raise DimensionMismatch("elements", len(elements), features.n_elements)
+    problem = UMaxEntProblem(features, channel, empirical)
 
     with _block("solver"):
         solver_config = SolverConfig(**doc.get("solver", {}))
@@ -160,8 +156,9 @@ def load_problem(doc):
         em = dict(doc.get("em", {}))
         if em.get("prior") is not None:
             em["prior"] = Distribution(em["prior"])
-            if len(em["prior"]) != space.size:
-                raise ValueError(f"prior has {len(em['prior'])} entries, not {space.size}")
+            if len(em["prior"]) != features.n_elements:
+                raise ValueError(
+                    f"prior has {len(em['prior'])} entries, not {features.n_elements}")
         em_config = EmConfig(inner=solver_config, **em)
 
     factorization = None
@@ -174,15 +171,17 @@ def load_problem(doc):
                 if not all(map(is_integer, entry)):
                     raise ValueError(f"embed entry {_plain(entry)!r} is not three integers")
                 embed[y, z] = x
-            factorization = LatentFactorization(_plain(lat["y"]), _plain(lat["z"]), embed,
-                                                space.size)
+            factorization = LatentFactorization(_name_list(lat["y"], "y"),
+                                                _name_list(lat["z"], "z"), embed,
+                                                features.n_elements)
 
     label_map = profile = training_prior = None
     batch_csv = None
     if "classifier" in doc:
         with _block("classifier"):
             cls = doc["classifier"]
-            label_map = LabelMap(_plain(cls["label_map"]), len(cls["labels"]))
+            label_map = LabelMap(_plain(cls["label_map"]),
+                                 len(_name_list(cls["labels"], "labels")))
             if "confusion" in cls:
                 profile = ClassifierProfile(cls["confusion"])
             if "training_prior" in cls:
@@ -258,13 +257,18 @@ def generate(spec):
 
     marginal = observation_marginal(truth, channel)
     if spec.n_samples is None:
-        empirical = EmpiricalObservations(marginal)
+        empirical = {"exact": marginal.probs.tolist()}
     else:
-        counts = rng.multinomial(spec.n_samples, marginal.probs)
-        empirical = EmpiricalObservations(counts=counts)
+        empirical = {"counts": rng.multinomial(spec.n_samples, marginal.probs).tolist()}
 
-    problem = UMaxEntProblem(ElementSpace(range(n)), features, channel, empirical)
-    doc = problem_to_dict(problem, seed=spec.seed)
+    doc = {
+        "elements": list(range(n)),
+        "features": {"names": list(features.feature_names), "values": features.values.tolist()},
+        "channel": {"observations": list(channel.observation_names),
+                    "matrix": channel.matrix.tolist()},
+        "empirical": empirical,
+        "seed": spec.seed,
+    }
     sidecar = {
         "lambda_true": lam_true.lam.tolist(),
         "pr_true": truth.probs.tolist(),

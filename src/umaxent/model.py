@@ -33,27 +33,9 @@ def _as_float_array(values, name, ndim):
 
 
 @dataclass(frozen=True, eq=False)
-class ElementSpace:
-    """The finite set of model elements, in a fixed order."""
-
-    elements: tuple
-
-    def __init__(self, elements):
-        elements = tuple(elements)
-        if len(elements) < 1:
-            raise ValidationError("element space must contain at least one element")
-        if len(set(elements)) != len(elements):
-            raise ValidationError("element identifiers must be unique")
-        object.__setattr__(self, "elements", elements)
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """K x |X| matrix of real-valued features (sufficient statistics)."""
+    """K x |X| matrix of real-valued features (sufficient statistics); its
+    column count is the problem's |X|."""
 
     values: np.ndarray
     feature_names: tuple = None
@@ -62,6 +44,8 @@ class FeatureTable:
         values = _as_float_array(values, "feature values", 2)
         if values.shape[0] < 1:
             raise ValidationError("need at least one feature")
+        if values.shape[1] < 1:
+            raise ValidationError("need at least one element")
         if feature_names is None:
             feature_names = tuple(f"f{k}" for k in range(values.shape[0]))
         else:
@@ -197,32 +181,6 @@ class ObservationChannel:
         np.log(c, out=out, where=c > 0)
         out *= c
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalObservations:
-    """Empirical distribution over observations, from counts or given exactly
-    (one of the two)."""
-
-    dist: Distribution
-    counts: np.ndarray = None
-
-    def __init__(self, dist=None, counts=None):
-        if (dist is None) == (counts is None):
-            raise ValidationError("need counts or an exact distribution, one but not both")
-        if counts is not None:
-            counts = np.asarray(counts)
-            if counts.ndim != 1 or np.any(counts < 0) or counts.sum() <= 0:
-                raise ValidationError("counts must be a nonnegative vector with positive total")
-            dist = Distribution(counts / counts.sum())
-            counts = counts.copy()
-            counts.setflags(write=False)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def probs(self):
-        return self.dist.probs
 
 
 def log_linear(lam, features):

@@ -15,14 +15,7 @@ from .classifier import LabelChannel, LabelMap
 from .dual import solve_standard_maxent
 from .em import EmConfig, UMaxEntProblem, em_solve, evaluate
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError, ZeroMarginal
-from .model import (
-    Distribution,
-    EmpiricalObservations,
-    ElementSpace,
-    ObservationChannel,
-    Weights,
-    log_linear_distribution,
-)
+from .model import Distribution, ObservationChannel, Weights, log_linear_distribution
 
 # A posterior entry this close to 0 or 1 counts as a point-mass entry.
 _POINT_MASS_ATOL = 1e-12
@@ -219,9 +212,7 @@ def verify_latent_reduction(fact, empirical_y, features, config=None, seed=0):
     from seed, then runs EM and reports the converged residual.
     """
     config = config or EmConfig()
-    channel = fact.y_channel()
-    space = ElementSpace(range(fact.n_elements))
-    problem = UMaxEntProblem(space, features, channel, EmpiricalObservations(empirical_y))
+    problem = UMaxEntProblem(features, fact.y_channel(), empirical_y)
 
     rng = np.random.default_rng(seed)
     gap = 0.0

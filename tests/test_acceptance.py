@@ -9,9 +9,7 @@ import numpy as np
 
 from umaxent import (
     Distribution,
-    ElementSpace,
     EmConfig,
-    EmpiricalObservations,
     FeatureTable,
     LabelMap,
     LatentFactorization,
@@ -70,8 +68,8 @@ def random_problem(rng, n_max=8, m_max=12, k_max=4):
     k = int(rng.integers(1, k_max + 1))
     features = FeatureTable(rng.uniform(-2, 2, size=(k, n)))
     channel = ObservationChannel(rng.dirichlet(np.ones(m), size=n).T)
-    empirical = EmpiricalObservations(Distribution(rng.dirichlet(np.ones(m))))
-    return UMaxEntProblem(ElementSpace(range(n)), features, channel, empirical)
+    empirical = Distribution(rng.dirichlet(np.ones(m)))
+    return UMaxEntProblem(features, channel, empirical)
 
 
 def test_criterion_1_gradient_correctness():
@@ -238,9 +236,7 @@ def test_criterion_8_classifier_reductions():
     fact = LatentFactorization(["l0", "l1"], ["z0", "z1"],
                                {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}, 4)
     channel = fact.y_channel()
-    problem = UMaxEntProblem(
-        ElementSpace(range(4)), feat4, channel,
-        EmpiricalObservations(Distribution(rows4.mean(axis=0))))
+    problem = UMaxEntProblem(feat4, channel, Distribution(rows4.mean(axis=0)))
     lam_lat, trace_lat = em_solve(problem)
     assert trace_lat.converged
     tv_latent = 0.5 * np.abs(

@@ -5,9 +5,7 @@ from umaxent import (
     ClassifierProfile,
     DimensionMismatch,
     Distribution,
-    ElementSpace,
     EmConfig,
-    EmpiricalObservations,
     FeatureTable,
     LabelMap,
     LatentFactorization,
@@ -27,7 +25,6 @@ from umaxent import (
     latent_constraint_rhs,
     log_linear_distribution,
     observation_marginal,
-    problem_to_dict,
     solve_standard_maxent,
 )
 from umaxent.classifier import LabelChannel
@@ -40,8 +37,7 @@ from umaxent.reductions import (
 
 def hard_label_evaluation(emp, profile, lm, lam, feat):
     """The evaluation of the hard-label problem: the lifted confusion channel."""
-    problem = UMaxEntProblem(ElementSpace(range(feat.n_elements)), feat, profile.lift(lm),
-                             EmpiricalObservations(emp))
+    problem = UMaxEntProblem(feat, profile.lift(lm), emp)
     return evaluate(problem, lam)
 
 
@@ -349,8 +345,7 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
     labels = factored.channel.labels.matrix
     assert np.allclose(labels.sum(axis=0), 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(factored.channel.matrix, labels @ lm.d.T)
-    dense = UMaxEntProblem(factored.space, feat, ObservationChannel(labels @ lm.d.T),
-                           factored.empirical)
+    dense = UMaxEntProblem(feat, ObservationChannel(labels @ lm.d.T), factored.empirical)
     for _ in range(10):
         lam = Weights(rng.uniform(-2, 2, size=3))
         a = evaluate(factored, lam)
@@ -366,10 +361,7 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
             is_deterministic_channel(dense.channel, model)
         assert np.max(np.abs(lagrangian_extra_term(factored, lam)
                              - lagrangian_extra_term(dense, lam))) <= 1e-13
-    doc, dense_doc = problem_to_dict(factored), problem_to_dict(dense)
-    assert np.max(np.abs(np.subtract(doc["channel"].pop("matrix"),
-                                     dense_doc["channel"].pop("matrix")))) <= 1e-15
-    assert doc == dense_doc
+    assert factored.channel.observation_names == dense.channel.observation_names
 
 
 def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
@@ -381,10 +373,9 @@ def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
     labels = ObservationChannel(scores / scores.sum(axis=0))
     lm = LabelMap([2, 0, 1], 3)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 3)))
-    emp = EmpiricalObservations(Distribution(rng.dirichlet(np.ones(6))))
-    factored = UMaxEntProblem(ElementSpace(range(3)), feat, LabelChannel(labels, lm), emp)
-    dense = UMaxEntProblem(ElementSpace(range(3)), feat,
-                           ObservationChannel(labels.matrix @ lm.d.T), emp)
+    emp = Distribution(rng.dirichlet(np.ones(6)))
+    factored = UMaxEntProblem(feat, LabelChannel(labels, lm), emp)
+    dense = UMaxEntProblem(feat, ObservationChannel(labels.matrix @ lm.d.T), emp)
     assert has_disjoint_column_supports(factored.channel)
     assert np.array_equal(induced_empirical_x(factored).probs, induced_empirical_x(dense).probs)
     lam = Weights([0.4, -0.7])
@@ -423,9 +414,7 @@ def test_hard_label_channel_matches_the_dense_lift(seed):
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, n)))
     emp = Distribution(rng.dirichlet(np.ones(labels)))
     factored = classifier_problem(feat, empirical_xi=emp, label_map=lm, profile=profile)
-    dense = UMaxEntProblem(factored.space, feat,
-                           ObservationChannel(profile.confusion[lm.labels].T),
-                           EmpiricalObservations(emp))
+    dense = UMaxEntProblem(feat, ObservationChannel(profile.confusion[lm.labels].T), emp)
     assert np.array_equal(factored.channel.matrix, dense.channel.matrix)
     lam_f, trace_f = em_solve(factored)
     lam_d, trace_d = em_solve(dense)

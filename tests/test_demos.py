@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script, and the README's quick start, runs to completion against
+the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +11,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+(QUICK_START,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(script):
+@pytest.mark.parametrize("argv", [[str(d)] for d in DEMOS] + [["-c", QUICK_START]],
+                         ids=[d.name for d in DEMOS] + ["README.md"])
+def test_demo_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

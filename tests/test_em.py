@@ -5,9 +5,7 @@ import umaxent.em
 from umaxent import (
     DimensionMismatch,
     Distribution,
-    ElementSpace,
     EmConfig,
-    EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
     SolverConfig,
@@ -47,12 +45,8 @@ def test_settings_raise_validation_error():
 
 
 def make_problem(values, channel_matrix, empirical):
-    feat = FeatureTable(values)
-    channel = ObservationChannel(channel_matrix)
-    return UMaxEntProblem(
-        ElementSpace(range(feat.n_elements)), feat, channel,
-        EmpiricalObservations(Distribution(empirical)),
-    )
+    return UMaxEntProblem(FeatureTable(values), ObservationChannel(channel_matrix),
+                          Distribution(empirical))
 
 
 def random_problem(rng, n_max=8, m_max=12, k_max=4):
@@ -79,8 +73,7 @@ def easy_problem(rng, n_max=6, k_max=3, noise=0.25):
     truth = log_linear_distribution(lam_true, feat)
     channel = ObservationChannel((1 - noise) * np.eye(n) + noise / n)
     marg = observation_marginal(truth, channel)
-    return UMaxEntProblem(ElementSpace(range(n)), feat, channel,
-                          EmpiricalObservations(marg))
+    return UMaxEntProblem(feat, channel, marg)
 
 
 def enumerated_targets(problem, lam):
@@ -246,8 +239,7 @@ def test_em_recovers_truth_expectations_exact_marginal():
     truth = log_linear_distribution(lam_true, feat)
     channel = ObservationChannel(0.8 * np.eye(3) + 0.2 / 3)
     marg = observation_marginal(truth, channel)
-    problem = UMaxEntProblem(ElementSpace(range(3)), feat, channel,
-                             EmpiricalObservations(marg))
+    problem = UMaxEntProblem(feat, channel, marg)
     lam, trace = em_solve(problem)
     assert trace.converged
     e_rec = feature_expectation(log_linear_distribution(lam, feat), feat)
@@ -479,9 +471,9 @@ def test_unproducible_observation_rejected_through_the_products():
     # the construction check reads the row sums as C @ 1, so a channel
     # without a matrix is checked too
     channel = ProductsOnlyChannel(ObservationChannel([[0.5, 1.0], [0.0, 0.0], [0.5, 0.0]]))
-    empirical = EmpiricalObservations(Distribution([0.5, 0.2, 0.3]))
+    empirical = Distribution([0.5, 0.2, 0.3])
     with pytest.raises(ZeroMarginal) as exc:
-        UMaxEntProblem(ElementSpace(range(2)), FeatureTable([[1.0, 0.0]]), channel, empirical)
+        UMaxEntProblem(FeatureTable([[1.0, 0.0]]), channel, empirical)
     assert exc.value.index == 1
 
 
@@ -497,7 +489,7 @@ def test_em_reads_a_channel_only_through_its_products(config):
     matrix[0, matrix.sum(axis=0) == 0] = 1.0
     dense = make_problem(dense.features.values, matrix / matrix.sum(axis=0),
                          dense.empirical.probs)
-    stub = UMaxEntProblem(dense.space, dense.features, ProductsOnlyChannel(dense.channel),
+    stub = UMaxEntProblem(dense.features, ProductsOnlyChannel(dense.channel),
                           dense.empirical)
     assert not hasattr(stub.channel, "matrix")
     lam_dense, trace_dense = em_solve(dense, config)

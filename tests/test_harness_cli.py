@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umaxent import (
+    DimensionMismatch,
     Distribution,
     SyntheticSpec,
     UMaxEntError,
@@ -88,9 +89,28 @@ def test_generate_full_noise_marginal_is_uniform():
 
 def test_generate_sampled_counts():
     doc, sidecar = generate(SyntheticSpec(3, 4, 2, n_samples=1000, seed=3))
-    loaded = load_problem(doc)
-    assert loaded.problem.empirical.counts.sum() == 1000
+    counts = doc["empirical"]["counts"]
+    assert all(isinstance(c, int) for c in counts) and sum(counts) == 1000
     assert not sidecar["exact_marginal"]
+
+
+def test_load_problem_normalizes_counts():
+    doc = {"elements": ["a", "b"], "features": {"values": [[1.0, 0.0]]},
+           "channel": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}, "empirical": {"counts": [3, 1]}}
+    assert load_problem(doc).problem.empirical.probs.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("elements", [[], [0, 1], [0, 1, 2, 3]])
+def test_element_count_must_match_the_feature_columns(tmp_path, capsys, elements):
+    problem, _ = write_problem(tmp_path, seed=12)
+    doc = json.loads(problem.read_text())
+    doc["elements"] = elements
+    problem.write_text(json.dumps(doc))
+    message = f"dimension mismatch on axis 'elements': expected {len(elements)}, got 3"
+    with pytest.raises(DimensionMismatch, match=message):
+        load_problem(doc)
+    assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_problem_missing_section():
@@ -234,6 +254,17 @@ def latent_block(first_entry):
     lambda d: d.update(latent=latent_block(["0", 0, 0])),
     lambda d: d.update(latent=latent_block([False, 0, 0])),
     lambda d: d.update(latent=latent_block([0.0, 0.0, 0.0])),
+    lambda d: d.update(classifier={"labels": "l0l1", "label_map": [0, 1, 1]}),
+    lambda d: d.update(elements="abc"),
+    lambda d: d["features"].update(names="ab"),
+    lambda d: d["channel"].update(observations="wxyz"),
+    lambda d: d.update(latent={**latent_block([0, 0, 0]), "y": "ab"}),
+    lambda d: d.update(latent={**latent_block([0, 0, 0]), "z": "xy"}),
+    lambda d: d.update(elements=[0, 0, 1]),
+    lambda d: d.update(elements=[], features={"values": [[], []]}),
+    lambda d: d.update(empirical={"counts": [0, 0, 0, 0]}),
+    lambda d: d.update(empirical={"counts": [-1, 2, 1, 1]}),
+    lambda d: d.update(empirical={"counts": [[1, 1], [1, 1]]}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
         "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter",
@@ -242,7 +273,10 @@ def latent_block(first_entry):
         "float-max-iter", "float-em-seed", "float-max-em-iter", "bool-max-em-iter",
         "negative-label-map-entry", "bool-label-map", "nan-in-row", "infinity-in-row",
         "bool-in-row", "batch-csv-without-training-prior", "int-batch-csv", "list-batch-csv",
-        "float-embed-index", "string-embed-index", "bool-embed-index", "float-embed-entry"])
+        "float-embed-index", "string-embed-index", "bool-embed-index", "float-embed-entry",
+        "string-labels", "string-elements", "string-feature-names",
+        "string-observation-names", "string-latent-y", "string-latent-z",
+        "duplicate-elements", "no-elements", "zero-counts", "negative-counts", "2d-counts"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -306,10 +340,10 @@ def load_outcome(source):
     except UMaxEntError as exc:
         return type(exc), str(exc)
     p = loaded.problem
-    arrays = [p.channel.matrix, p.features.values, p.empirical.probs, p.empirical.counts]
+    arrays = [p.channel.matrix, p.features.values, p.empirical.probs]
     if loaded.em_config.prior is not None:
         arrays.append(loaded.em_config.prior.probs)
-    labels = (p.space.elements, p.features.feature_names, p.channel.observation_names)
+    labels = (p.features.feature_names, p.channel.observation_names)
     return ([None if a is None else (a.dtype, a.shape, a.tolist() if a.dtype == object
                                       else a.view(np.int64).tolist()) for a in arrays],
             [[(type(x), repr(x)) for x in seq] for seq in labels])

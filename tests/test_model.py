@@ -5,8 +5,6 @@ from umaxent import (
     ClassifierProfile,
     DimensionMismatch,
     Distribution,
-    ElementSpace,
-    EmpiricalObservations,
     FeatureTable,
     LabelMap,
     ObservationChannel,
@@ -18,13 +16,6 @@ from umaxent import (
     log_partition,
     observation_marginal,
 )
-
-
-def test_element_space_rejects_duplicates():
-    with pytest.raises(ValidationError):
-        ElementSpace(["a", "a"])
-    with pytest.raises(ValidationError):
-        ElementSpace([])
 
 
 def test_feature_table_rejects_nonfinite():
@@ -70,19 +61,6 @@ def test_value_types_freeze_their_own_copy(build, given):
     stored = next(v for v in vars(value).values() if isinstance(v, np.ndarray))
     assert not stored.flags.writeable
     assert not np.shares_memory(given, stored)
-
-def test_empirical_from_counts():
-    emp = EmpiricalObservations(counts=[3, 1])
-    assert np.allclose(emp.probs, [0.75, 0.25])
-    with pytest.raises(ValidationError):
-        EmpiricalObservations(counts=[0, 0])
-
-
-def test_empirical_takes_counts_or_a_distribution_not_both():
-    with pytest.raises(ValidationError, match="not both"):
-        EmpiricalObservations(Distribution([0.75, 0.25]), counts=[3, 1])
-    with pytest.raises(ValidationError, match="not both"):
-        EmpiricalObservations()
 
 
 def test_log_partition_zero_weights():

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from umaxent import (
     Distribution,
-    ElementSpace,
     EmConfig,
-    EmpiricalObservations,
     FeatureTable,
     ObservationChannel,
     SyntheticSpec,
@@ -24,9 +22,7 @@ from umaxent.em import evaluate
 
 
 def build(values, channel, tilde):
-    feat = FeatureTable(values)
-    return UMaxEntProblem(ElementSpace(range(feat.n_elements)), feat,
-                          ObservationChannel(channel), EmpiricalObservations(Distribution(tilde)))
+    return UMaxEntProblem(FeatureTable(values), ObservationChannel(channel), Distribution(tilde))
 
 
 @st.composite
@@ -152,7 +148,7 @@ def test_em_solve_scaling_features_scales_weights(n, extra, k, eps, c, seed):
     # reached 5.6e-7 and |c lambda_c - lambda|_inf / (1 + |lambda|_inf) 9.6e-5.
     doc, _ = generate(SyntheticSpec(n, n + extra, min(k, n - 1), epsilon=eps, seed=seed))
     problem = load_problem(doc).problem
-    scaled = UMaxEntProblem(problem.space, FeatureTable(c * problem.features.values),
+    scaled = UMaxEntProblem(FeatureTable(c * problem.features.values),
                             problem.channel, problem.empirical)
     config = EmConfig(lambda_tol=1e-8, max_em_iter=2000)
     lam, trace = em_solve(problem, config)

@@ -3,9 +3,7 @@ import pytest
 
 from umaxent import (
     Distribution,
-    ElementSpace,
     EmConfig,
-    EmpiricalObservations,
     FeatureTable,
     LatentFactorization,
     ObservationChannel,
@@ -31,12 +29,8 @@ from umaxent.reductions import (
 
 
 def make_problem(values, channel_matrix, empirical):
-    feat = FeatureTable(values)
-    channel = ObservationChannel(channel_matrix)
-    return UMaxEntProblem(
-        ElementSpace(range(feat.n_elements)), feat, channel,
-        EmpiricalObservations(Distribution(empirical)),
-    )
+    return UMaxEntProblem(FeatureTable(values), ObservationChannel(channel_matrix),
+                          Distribution(empirical))
 
 
 def two_by_two_factorization():
@@ -178,8 +172,7 @@ def test_latent_estep_identity_pointwise():
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, 4)))
     emp = Distribution([0.6, 0.4])
     channel = fact.y_channel()
-    problem = UMaxEntProblem(ElementSpace(range(4)), feat, channel,
-                             EmpiricalObservations(emp))
+    problem = UMaxEntProblem(feat, channel, emp)
     for _ in range(100):
         lam = Weights(rng.uniform(-2, 2, size=2))
         model = log_linear_distribution(lam, feat)
