@@ -20,8 +20,7 @@ from umaxent import (
 rng = np.random.default_rng(0)
 
 # Six outcomes, two real-valued features per outcome.
-features = FeatureTable(rng.uniform(-2, 2, size=(2, 6)),
-                        feature_names=["f_a", "f_b"])
+features = FeatureTable(rng.uniform(-2, 2, size=(2, 6)))
 
 # Targets taken from a random reference distribution, so they are feasible.
 reference = Distribution(rng.dirichlet(np.ones(6)))

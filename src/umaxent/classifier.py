@@ -53,18 +53,17 @@ class LabelMap:
 
 @dataclass(frozen=True, eq=False)
 class ClassifierProfile:
-    """Row-stochastic confusion matrix C[true_label, output_label].
+    """A classifier's row-stochastic confusion matrix C[true_label, output_label],
+    kept as the channel C^T.
 
-    Its rows are checked once, as the columns of the channel C^T built here
-    (ObservationChannel's range and NORMALIZATION_SLACK rules), and a failure
-    names the confusion row; confusion keeps a copy of the input as given.
+    Its rows are checked once, as the columns of C^T (ObservationChannel's
+    range and NORMALIZATION_SLACK rules), and a failure names the confusion row.
     """
 
-    confusion: np.ndarray
     channel: ObservationChannel
 
     def __init__(self, confusion):
-        confusion = np.array(confusion, dtype=float)
+        confusion = np.asarray(confusion, dtype=float)
         if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
             raise ValidationError("confusion matrix must be square")
         try:
@@ -72,8 +71,6 @@ class ClassifierProfile:
         except ValidationError as exc:
             message = str(exc).replace("channel column", "confusion row")
             raise ValidationError(message.replace("channel ", "confusion ")) from None
-        confusion.setflags(write=False)
-        object.__setattr__(self, "confusion", confusion)
         object.__setattr__(self, "channel", channel)
 
     def lift(self, label_map):
@@ -85,8 +82,9 @@ class ClassifierProfile:
 class SoftClassifierBatch:
     """Per-sample classifier output distributions plus the training prior.
 
-    rows: N x |labels|, each row a distribution over labels. Every sample
-    weighs the same, 1/N.
+    rows: N x |labels|, each row a distribution over labels, accepted within
+    1e-6 of summing to 1 and divided once by its sum. Every sample weighs
+    the same, 1/N.
     """
 
     rows: np.ndarray
@@ -105,14 +103,7 @@ class SoftClassifierBatch:
         bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
         if bad.size:
             raise ValidationError(f"batch row {bad[0]} sums to {sums[bad[0]]}, not 1")
-        rows = rows.copy()
-        # renormalize to a fixpoint so reconstruction from stored rows is exact
-        for _ in range(4):
-            sums = rows.sum(axis=1)
-            drift = np.flatnonzero(sums != 1.0)
-            if not drift.size:
-                break
-            rows[drift] = rows[drift] / sums[drift, None]
+        rows = rows / sums[:, None]
         if len(training_prior) != rows.shape[1]:
             raise DimensionMismatch("labels", rows.shape[1], len(training_prior))
         rows.setflags(write=False)
@@ -147,12 +138,6 @@ class SoftClassifierBatch:
             raise ValidationError(f"batch CSV {path} rows do not match header width")
         return cls(rows, training_prior)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"xi_{i}" for i in range(self.n_labels)])
-            writer.writerows([repr(float(v)) for v in row] for row in self.rows)
-
 
 @dataclass(frozen=True, eq=False)
 class LabelChannel:
@@ -179,10 +164,6 @@ class LabelChannel:
     @property
     def n_elements(self):
         return self.label_map.n_elements
-
-    @property
-    def observation_names(self):
-        return self.labels.observation_names
 
     @property
     def matrix(self):

@@ -143,8 +143,8 @@ def minimize_dual(target, features, init=None, config=None):
     (equivalently the constraint residual) dropped below config.grad_tol.
     Boundary or exterior targets show up as some |lambda_k| passing
     _DIVERGENCE_GUARD (1e3), which stops the solve "diverged", or as
-    config.max_iter running out ("max_iter"); the best iterate seen is
-    returned either way.
+    config.max_iter running out ("max_iter"); the last iterate is returned
+    on every exit.
     """
     config = config or SolverConfig()
     _check(target, features)
@@ -152,7 +152,6 @@ def minimize_dual(target, features, init=None, config=None):
 
     lam = np.zeros(features.n_features) if init is None else np.array(init.lam, dtype=float)
     f, grad, hess = _evaluate(lam, target, features)
-    best_lam, best_f = lam, f
     size = np.abs(target.phi_hat)
 
     for iterations in range(config.max_iter + 1):
@@ -160,9 +159,9 @@ def minimize_dual(target, features, init=None, config=None):
         if gnorm <= config.grad_tol:
             return SolverResult(Weights(lam), f, gnorm, iterations, "gradient")
         if np.abs(lam).max() > _DIVERGENCE_GUARD:
-            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, "diverged")
+            return SolverResult(Weights(lam), f, gnorm, iterations, "diverged")
         if iterations == config.max_iter:
-            return SolverResult(Weights(best_lam), best_f, gnorm, iterations, "max_iter")
+            return SolverResult(Weights(lam), f, gnorm, iterations, "max_iter")
 
         # f is log Z - lambda.phi_hat; its rounding error scales with both terms.
         noise = _ROUNDING * (abs(f) + np.abs(lam) @ size)
@@ -172,10 +171,8 @@ def minimize_dual(target, features, init=None, config=None):
         if moved is None:
             # no Newton or steepest-descent step lowers the dual value or,
             # below its rounding, the gradient
-            return SolverResult(Weights(best_lam), best_f, gnorm, iterations + 1, "no_step")
+            return SolverResult(Weights(lam), f, gnorm, iterations + 1, "no_step")
         lam, f, grad, hess = moved
-        if f <= best_f + noise:
-            best_lam, best_f = lam, f
 
 
 def solve_standard_maxent(empirical_x, features, config=None):

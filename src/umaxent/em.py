@@ -249,7 +249,8 @@ def em_solve(problem, config=None):
     accepted lambda, row 0 included; it ends the run converged with
     termination "residual". An M-step that returns its input unchanged ends
     it unconverged with "stalled" and no new row; the iteration budget ends
-    it with "max_em_iter". Returns (Weights, EmTrace).
+    it with "max_em_iter". Converged certifies a stationary point of L, not
+    the global maximum. Returns (Weights, EmTrace).
     """
     config = config or EmConfig()
     lam = _initial_weights(problem, config)

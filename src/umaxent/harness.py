@@ -129,16 +129,21 @@ def load_problem(doc):
         elements = _name_list(doc["elements"], "elements")
         if len(set(elements)) != len(elements):
             raise ValueError("element identifiers must be unique")
+    # feature and observation names, when given, are likewise checked, then dropped
     with _block("features"):
-        features = FeatureTable(doc["features"]["values"],
-                                _name_list(doc["features"].get("names"), "names"))
+        features = FeatureTable(doc["features"]["values"])
+        names = _name_list(doc["features"].get("names"), "names")
+        if names is not None and len(names) != features.n_features:
+            raise DimensionMismatch("features", features.n_features, len(names))
     with _block("channel"):
-        channel = ObservationChannel(
-            doc["channel"]["matrix"],
-            _name_list(doc["channel"].get("observations"), "observations"),
-        )
+        channel = ObservationChannel(doc["channel"]["matrix"])
+        names = _name_list(doc["channel"].get("observations"), "observations")
+        if names is not None and len(names) != channel.n_observations:
+            raise DimensionMismatch("observations", channel.n_observations, len(names))
     with _block("empirical"):
         emp = doc["empirical"]
+        if "counts" in emp and "exact" in emp:
+            raise ValueError("give either exact or counts, not both")
         if "counts" in emp:
             counts = np.asarray(emp["counts"])
             if counts.ndim != 1 or np.any(counts < 0) or counts.sum() <= 0:
@@ -182,6 +187,8 @@ def load_problem(doc):
             cls = doc["classifier"]
             label_map = LabelMap(_plain(cls["label_map"]),
                                  len(_name_list(cls["labels"], "labels")))
+            if label_map.n_elements != features.n_elements:
+                raise DimensionMismatch("elements", features.n_elements, label_map.n_elements)
             if "confusion" in cls:
                 profile = ClassifierProfile(cls["confusion"])
             if "training_prior" in cls:
@@ -263,8 +270,8 @@ def generate(spec):
 
     doc = {
         "elements": list(range(n)),
-        "features": {"names": list(features.feature_names), "values": features.values.tolist()},
-        "channel": {"observations": list(channel.observation_names),
+        "features": {"names": [f"f{i}" for i in range(k)], "values": features.values.tolist()},
+        "channel": {"observations": [f"w{i}" for i in range(m)],
                     "matrix": channel.matrix.tolist()},
         "empirical": empirical,
         "seed": spec.seed,

@@ -38,23 +38,15 @@ class FeatureTable:
     column count is the problem's |X|."""
 
     values: np.ndarray
-    feature_names: tuple = None
 
-    def __init__(self, values, feature_names=None):
+    def __init__(self, values):
         values = _as_float_array(values, "feature values", 2)
         if values.shape[0] < 1:
             raise ValidationError("need at least one feature")
         if values.shape[1] < 1:
             raise ValidationError("need at least one element")
-        if feature_names is None:
-            feature_names = tuple(f"f{k}" for k in range(values.shape[0]))
-        else:
-            feature_names = tuple(feature_names)
-            if len(feature_names) != values.shape[0]:
-                raise DimensionMismatch("features", values.shape[0], len(feature_names))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feature_names", feature_names)
 
     @property
     def n_features(self):
@@ -123,9 +115,8 @@ class ObservationChannel:
     """
 
     matrix: np.ndarray
-    observation_names: tuple = None
 
-    def __init__(self, matrix, observation_names=None):
+    def __init__(self, matrix):
         # One owned copy, normalized in place: a second |Omega| x |X| array
         # per channel fragments the heap of a process that loads many files.
         matrix = _as_float_array(matrix, "channel matrix", 2)
@@ -138,15 +129,8 @@ class ObservationChannel:
                 f"channel column {bad[0]} sums to {col_sums[bad[0]]}, not 1"
             )
         matrix /= col_sums
-        if observation_names is None:
-            observation_names = tuple(f"w{i}" for i in range(matrix.shape[0]))
-        else:
-            observation_names = tuple(observation_names)
-            if len(observation_names) != matrix.shape[0]:
-                raise DimensionMismatch("observations", matrix.shape[0], len(observation_names))
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "observation_names", observation_names)
 
     @property
     def n_observations(self):

@@ -144,15 +144,12 @@ def verify_maxent_reduction(problem, config=None, seed=0):
 class LatentFactorization:
     """Split of each element into an observed Y part and a hidden Z part.
 
-    embed maps valid (y_index, z_index) pairs injectively onto element
-    indices and must cover the whole element set; y_map is the element -> Y
-    index map it induces.
+    embed maps valid (y_index, z_index) pairs, y_index < len(y_space) and
+    z_index < len(z_space), injectively onto element indices and must cover
+    the whole element set. Only the element -> Y index map it induces, y_map,
+    is kept.
     """
 
-    y_space: tuple
-    z_space: tuple
-    embed: dict  # (y_idx, z_idx) -> element index
-    n_elements: int
     y_map: LabelMap
 
     def __init__(self, y_space, z_space, embed, n_elements):
@@ -170,16 +167,15 @@ class LatentFactorization:
             raise ValidationError(f"embed key ({yi}, {zi}) out of range")
         y_of = np.empty(n_elements, dtype=int)
         y_of[targets] = pairs[:, 0]
-        object.__setattr__(self, "y_space", y_space)
-        object.__setattr__(self, "z_space", z_space)
-        object.__setattr__(self, "embed", embed)
-        object.__setattr__(self, "n_elements", n_elements)
         object.__setattr__(self, "y_map", LabelMap(y_of, len(y_space)))
+
+    @property
+    def n_elements(self):
+        return self.y_map.n_elements
 
     def y_channel(self):
         """Channel with Omega = Y: Pr(omega | X) = 1 iff X's Y part is omega."""
-        identity = ObservationChannel(np.eye(len(self.y_space)), observation_names=self.y_space)
-        return LabelChannel(identity, self.y_map)
+        return LabelChannel(ObservationChannel.identity(self.y_map.n_labels), self.y_map)
 
 
 def latent_constraint_rhs(fact, empirical_y, model, features):
@@ -191,8 +187,8 @@ def latent_constraint_rhs(fact, empirical_y, model, features):
     """
     if features.n_elements != fact.n_elements:
         raise ValidationError("feature table does not match factorization size")
-    if len(empirical_y) != len(fact.y_space):
-        raise DimensionMismatch("Y values", len(fact.y_space), len(empirical_y))
+    if len(empirical_y) != fact.y_map.n_labels:
+        raise DimensionMismatch("Y values", fact.y_map.n_labels, len(empirical_y))
     y = fact.y_map.labels
     p = model.probs
     mass = np.bincount(y, weights=p, minlength=len(empirical_y))

@@ -361,7 +361,6 @@ def test_soft_problem_matches_dense_label_composition(apply_correction):
             is_deterministic_channel(dense.channel, model)
         assert np.max(np.abs(lagrangian_extra_term(factored, lam)
                              - lagrangian_extra_term(dense, lam))) <= 1e-13
-    assert factored.channel.observation_names == dense.channel.observation_names
 
 
 def test_reductions_read_a_disjoint_label_channel_as_its_expansion():
@@ -414,7 +413,7 @@ def test_hard_label_channel_matches_the_dense_lift(seed):
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, n)))
     emp = Distribution(rng.dirichlet(np.ones(labels)))
     factored = classifier_problem(feat, empirical_xi=emp, label_map=lm, profile=profile)
-    dense = UMaxEntProblem(feat, ObservationChannel(profile.confusion[lm.labels].T), emp)
+    dense = UMaxEntProblem(feat, ObservationChannel(confusion[lm.labels].T), emp)
     assert np.array_equal(factored.channel.matrix, dense.channel.matrix)
     lam_f, trace_f = em_solve(factored)
     lam_d, trace_d = em_solve(dense)
@@ -455,14 +454,3 @@ def test_classifier_em_iteration_budget(path):
     _, trace = em_solve(problem)
     assert trace.termination == "residual"
     assert trace.rows[-1].iteration <= EM_ITERATION_BUDGET[path]
-
-
-def test_batch_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    rows = rng.dirichlet(np.ones(3), size=10)
-    prior = Distribution(np.full(3, 1 / 3))
-    batch = SoftClassifierBatch(rows, prior)
-    path = tmp_path / "batch.csv"
-    batch.to_csv(path)
-    loaded = SoftClassifierBatch.from_csv(path, prior)
-    assert np.max(np.abs(loaded.rows - batch.rows)) == 0.0

@@ -270,6 +270,23 @@ def test_em_fixed_point_certification():
         assert evaluate(problem, lam).residual <= cfg.lambda_tol
 
 
+def test_em_certificate_is_local():
+    # L has two stationary points here, and EM certifies either one: from zero it
+    # converges at the lower, started at the better one (found offline by BFGS on
+    # L) it converges at row 0
+    doc, _ = generate(SyntheticSpec(20, 30, 8, epsilon=0.5, seed=0, n_samples=200))
+    problem = load_problem(doc).problem
+    _, trace = em_solve(problem)
+    assert trace.termination == "residual"
+    assert trace.rows[-1].loglik == pytest.approx(-2.9558136, abs=1e-7)
+    lam_star = Weights([2.588314, -1.079114, -1.778728, 1.878752,
+                        4.486066, -1.345658, 0.447904, 1.576253])
+    prior = log_linear_distribution(lam_star, problem.features)
+    _, better = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
+    assert better.termination == "residual" and len(better) == 1
+    assert better.rows[0].loglik == pytest.approx(-2.9539525, abs=1e-7)
+
+
 def frozen_loop_problem():
     """50 x 80 x 5 at epsilon 0.5: the warm start meets the default grad_tol
     long before the residual reaches 1e-12."""

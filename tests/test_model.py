@@ -52,7 +52,8 @@ def test_channel_normalizes_a_copy():
     (Weights, np.ones(2)),
     (TargetExpectations, np.ones(2)),
     pytest.param(lambda given: LabelMap(given, 2), np.array([0, 1]), id="LabelMap-given3"),
-    (ClassifierProfile, np.eye(2)),
+    pytest.param(lambda given: ClassifierProfile(given).channel, np.eye(2),
+                 id="ClassifierProfile-given4"),
 ])
 def test_value_types_freeze_their_own_copy(build, given):
     # the caller's float64 array stays writable and does not alias the value

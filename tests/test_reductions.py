@@ -253,10 +253,10 @@ def loop_induced_mass(problem):
     return mass
 
 
-def loop_latent_rhs(fact, empirical_y, model, features):
+def loop_latent_rhs(embed, empirical_y, model, features):
     rhs = np.zeros(features.n_features)
     for yi, p_y in enumerate(empirical_y.probs):
-        xs = [x for (y, _z), x in fact.embed.items() if y == yi]
+        xs = [x for (y, _z), x in embed.items() if y == yi]
         mass = model.probs[xs].sum()
         if mass <= 0:
             if p_y > 0:
@@ -334,26 +334,27 @@ def shuffled_factorization(rng, n_y, n_z):
     pairs = [(y, z) for y in range(n_y) for z in range(n_z) if rng.random() < 0.7 or z == 0]
     order = rng.permutation(len(pairs))
     embed = {pairs[i]: int(x) for x, i in enumerate(order)}  # insertion order shuffled too
-    return LatentFactorization(range(n_y), range(n_z), embed, len(pairs))
+    return LatentFactorization(range(n_y), range(n_z), embed, len(pairs)), embed
 
 
 def test_latent_rhs_matches_per_y_reference():
     rng = np.random.default_rng(23)
     for _ in range(30):
-        fact = shuffled_factorization(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+        fact, embed = shuffled_factorization(rng, int(rng.integers(1, 6)),
+                                             int(rng.integers(1, 5)))
         feat = FeatureTable(rng.uniform(-2, 2, size=(3, fact.n_elements)))
-        emp = rng.dirichlet(np.ones(len(fact.y_space)))
+        emp = rng.dirichlet(np.ones(fact.y_map.n_labels))
         emp[rng.random(emp.size) < 0.3] = 0.0
         emp[0] += 0.1
         emp = Distribution(emp / emp.sum())
         model = Distribution(rng.dirichlet(np.ones(fact.n_elements)))
         assert np.max(np.abs(latent_constraint_rhs(fact, emp, model, feat)
-                             - loop_latent_rhs(fact, emp, model, feat))) <= 1e-12
+                             - loop_latent_rhs(embed, emp, model, feat))) <= 1e-12
 
 
 def test_latent_rhs_zero_mass_y():
     rng = np.random.default_rng(24)
-    fact = shuffled_factorization(rng, 3, 3)
+    fact, embed = shuffled_factorization(rng, 3, 3)
     feat = FeatureTable(rng.uniform(-2, 2, size=(2, fact.n_elements)))
     y = fact.y_map.labels
     probs = rng.dirichlet(np.ones(fact.n_elements))
@@ -365,4 +366,4 @@ def test_latent_rhs_zero_mass_y():
     assert exc.value.index == 1
     emp = Distribution([0.6, 0.0, 0.4])
     assert np.max(np.abs(latent_constraint_rhs(fact, emp, model, feat)
-                         - loop_latent_rhs(fact, emp, model, feat))) <= 1e-12
+                         - loop_latent_rhs(embed, emp, model, feat))) <= 1e-12
