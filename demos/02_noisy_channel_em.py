@@ -8,7 +8,6 @@ maximum-entropy M-step, and the log-likelihood trace never decreases.
 import numpy as np
 
 from umaxent import (
-    Distribution,
     SyntheticSpec,
     em_solve,
     feature_expectation,

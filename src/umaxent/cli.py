@@ -40,8 +40,7 @@ EXIT_MAX_ITER = 2
 
 def _em_config(loaded, args):
     """The file's EM settings with the command-line overrides, re-validated."""
-    overrides = {"lambda_tol": args.tol, "max_em_iter": args.max_iter,
-                 "init_mode": args.init, "seed": args.seed}
+    overrides = {"lambda_tol": args.tol, "max_em_iter": args.max_iter}
     return dataclasses.replace(
         loaded.em_config, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -141,7 +140,7 @@ def cmd_check(args):
     }
     if has_disjoint_column_supports(problem.channel):
         report["standard_reduction"] = dataclasses.asdict(
-            verify_maxent_reduction(problem, config)
+            verify_maxent_reduction(problem, config, seed=args.seed)
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,14 +155,14 @@ def cmd_reduce(args):
     disjoint = has_disjoint_column_supports(problem.channel)
     reports = []
     if disjoint:
-        reports.append(verify_maxent_reduction(problem, config))
+        reports.append(verify_maxent_reduction(problem, config, seed=args.seed))
     if fact is not None:
         if disjoint:
             empirical_y = observation_marginal(induced_empirical_x(problem), fact.y_channel())
         else:
             empirical_y = problem.empirical
         reports.append(verify_latent_reduction(
-            fact, empirical_y, problem.features, config
+            fact, empirical_y, problem.features, config, seed=args.seed
         ))
     if not reports:
         print("no applicable reduction for this problem", file=sys.stderr)
@@ -183,11 +182,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the reduction verifiers' random draws (check, reduce)")
         p.add_argument("--tol", type=float, default=None, help="EM stops converged once "
                        "the residual, the log-likelihood gradient, is at most TOL (1e-6)")
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--init", choices=["zero", "random", "prior"], default=None)
         p.add_argument("--out", default=".")
 
     gen = sub.add_parser("generate", help="emit a synthetic problem plus truth sidecar")
@@ -230,6 +229,8 @@ def main(argv=None):
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
+        if args.seed < 0:  # every subcommand takes --seed
+            raise ValidationError(f"seed must be a nonnegative integer, not {args.seed}")
         return args.func(args)
     except (UMaxEntError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,8 +41,6 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# init_mode "random" draws each initial weight uniformly from +-INIT_SCALE.
-INIT_SCALE = 0.1
 # Each M-step runs to min(inner.grad_tol, GRAD_TOL_SHARE * residual). This never
 # loosens grad_tol; it only keeps the solver tolerance from putting a floor under
 # the residual EM can reach.
@@ -74,29 +72,23 @@ class UMaxEntProblem:
 @dataclass
 class EmConfig:
     """EM settings. lambda_tol bounds the residual |F p - phi_hat(lambda)|_inf,
-    the log-likelihood gradient, at which em_solve stops converged. init_mode
-    picks the starting weights: zero, uniform in +-INIT_SCALE drawn from seed,
-    or the M-projection of prior."""
+    the log-likelihood gradient, at which em_solve stops converged. EM starts
+    at lambda = 0, the uniform model, or, when prior is given, at the prior's
+    M-projection: the log-linear model whose feature expectations equal the
+    prior's. prior=log_linear_distribution(Weights(lam), features) starts at lam."""
 
     lambda_tol: float = 1e-6
     max_em_iter: int = 500
     inner: SolverConfig = field(default_factory=SolverConfig)
-    init_mode: str = "zero"  # zero | random | prior
-    seed: int = 0
     prior: Distribution = None
 
     def __post_init__(self):
         if not self.lambda_tol > 0:
             raise ValidationError("lambda_tol must be positive")
-        for name in ("max_em_iter", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValidationError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if not is_integer(self.max_em_iter):
+            raise ValidationError(f"max_em_iter must be an integer, not {self.max_em_iter!r}")
         if self.max_em_iter < 0:
             raise ValidationError("max_em_iter must be nonnegative")
-        if self.init_mode not in ("zero", "random", "prior"):
-            raise ValidationError(f"unknown init_mode {self.init_mode!r}")
-        if self.init_mode == "prior" and self.prior is None:
-            raise ValidationError("init_mode 'prior' needs a prior distribution")
 
 
 @dataclass
@@ -216,15 +208,10 @@ def likelihood_decomposition(problem, weights, weights_prev):
 
 
 def _initial_weights(problem, config):
-    """lambda_0: zero, uniform in +-INIT_SCALE, or the prior's M-projection, the
-    log-linear model whose feature expectations equal the prior's."""
-    k = problem.features.n_features
-    if config.init_mode == "random":
-        rng = np.random.default_rng(config.seed)
-        return Weights(rng.uniform(-INIT_SCALE, INIT_SCALE, size=k))
-    if config.init_mode == "prior":
+    """lambda_0: zero, or the M-projection of config.prior when one is given."""
+    if config.prior is not None:
         return solve_standard_maxent(config.prior, problem.features, config.inner).weights
-    return Weights(np.zeros(k))
+    return Weights(np.zeros(problem.features.n_features))
 
 
 def _row(t, lam, ev, ev_prev, inner_iterations):
@@ -243,7 +230,8 @@ def em_solve(problem, config=None):
     Each iteration is one M-step on the targets of the last evaluation and
     one evaluation at the new weights, which gives the next targets and the
     trace row's log-likelihood, audit terms and residual. Row 0 is the
-    evaluation at the initial weights (_initial_weights).
+    evaluation at the initial weights: lambda = 0, or the M-projection of
+    config.prior when one is given.
 
     The one stopping test, residual <= lambda_tol, is checked at every
     accepted lambda, row 0 included; it ends the run converged with

@@ -146,8 +146,10 @@ def load_problem(doc):
             raise ValueError("give either exact or counts, not both")
         if "counts" in emp:
             counts = np.asarray(emp["counts"])
-            if counts.ndim != 1 or np.any(counts < 0) or counts.sum() <= 0:
-                raise ValueError("counts must be a nonnegative vector with positive total")
+            with np.errstate(over="ignore"):  # a total that overflows is rejected, not warned of
+                if counts.ndim != 1 or np.any(counts < 0) or not 0 < counts.sum() < np.inf:
+                    raise ValueError("counts must be a nonnegative vector with a finite "
+                                     "positive total")
             empirical = Distribution(counts / counts.sum())
         else:
             empirical = Distribution(emp["exact"])
@@ -189,10 +191,15 @@ def load_problem(doc):
                                  len(_name_list(cls["labels"], "labels")))
             if label_map.n_elements != features.n_elements:
                 raise DimensionMismatch("elements", features.n_elements, label_map.n_elements)
+            n_labels = label_map.n_labels
             if "confusion" in cls:
                 profile = ClassifierProfile(cls["confusion"])
+                if profile.channel.n_elements != n_labels:
+                    raise DimensionMismatch("labels", n_labels, profile.channel.n_elements)
             if "training_prior" in cls:
                 training_prior = Distribution(cls["training_prior"])
+                if len(training_prior) != n_labels:
+                    raise DimensionMismatch("labels", n_labels, len(training_prior))
             batch_csv = cls.get("batch_csv")
             if batch_csv is not None and not isinstance(batch_csv, str):
                 raise ValueError(f"batch_csv {batch_csv!r} is not a file name")

@@ -317,7 +317,7 @@ def test_classifier_em_soft_prior_init_starts_at_prior_m_projection():
     batch = SoftClassifierBatch(rng.dirichlet(np.ones(3), size=40),
                                 Distribution([0.2, 0.3, 0.5]))
     prior = Distribution(rng.dirichlet(np.ones(6)))
-    config = EmConfig(init_mode="prior", prior=prior, max_em_iter=2)
+    config = EmConfig(prior=prior, max_em_iter=2)
     _, trace = classifier_em_solve(feat, batch=batch, label_map=lm, config=config)
     lam0 = Weights(trace.rows[0].lam)
     gap = (feature_expectation(log_linear_distribution(lam0, feat), feat)

@@ -32,8 +32,6 @@ def test_settings_raise_validation_error():
     # every bad setting raises the type every model type raises
     with pytest.raises(ValidationError, match="^lambda_tol must be positive$"):
         EmConfig(lambda_tol=0.0)
-    with pytest.raises(ValidationError, match="^unknown init_mode 'warm'$"):
-        EmConfig(init_mode="warm")
     with pytest.raises(ValidationError, match="^grad_tol must be positive$"):
         SolverConfig(grad_tol=float("nan"))
     with pytest.raises(ValidationError, match="^max_iter must be an integer of at least 1"):
@@ -282,7 +280,7 @@ def test_em_certificate_is_local():
     lam_star = Weights([2.588314, -1.079114, -1.778728, 1.878752,
                         4.486066, -1.345658, 0.447904, 1.576253])
     prior = log_linear_distribution(lam_star, problem.features)
-    _, better = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
+    _, better = em_solve(problem, EmConfig(prior=prior))
     assert better.termination == "residual" and len(better) == 1
     assert better.rows[0].loglik == pytest.approx(-2.9539525, abs=1e-7)
 
@@ -340,12 +338,9 @@ def test_em_converged_iff_residual_termination():
 def test_em_deterministic_traces():
     rng = np.random.default_rng(20)
     problem = easy_problem(rng)
-    _, t1 = em_solve(problem, EmConfig(init_mode="random", seed=5))
-    _, t2 = em_solve(problem, EmConfig(init_mode="random", seed=5))
+    _, t1 = em_solve(problem)
+    _, t2 = em_solve(problem)
     assert t1.to_csv_string() == t2.to_csv_string()
-    _, t3 = em_solve(problem)
-    _, t4 = em_solve(problem)
-    assert t3.to_csv_string() == t4.to_csv_string()
 
 
 def test_em_prior_init_runs():
@@ -353,7 +348,7 @@ def test_em_prior_init_runs():
     problem = easy_problem(rng)
     n = problem.features.n_elements
     prior = Distribution(rng.dirichlet(np.ones(n)))
-    lam, trace = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
+    lam, trace = em_solve(problem, EmConfig(prior=prior))
     assert trace.converged
     assert evaluate(problem, lam).residual <= 1e-5
 
@@ -366,7 +361,7 @@ def test_em_prior_init_never_loses_loglik_from_row_0():
             doc, _ = generate(SyntheticSpec(12, 18, 3, epsilon=eps, seed=seed))
             problem = load_problem(doc).problem
             prior = Distribution(np.random.default_rng(seed).dirichlet(np.full(12, 0.3)))
-            _, trace = em_solve(problem, EmConfig(init_mode="prior", prior=prior))
+            _, trace = em_solve(problem, EmConfig(prior=prior))
             assert np.diff(trace.logliks()).min() >= -1e-12, (eps, seed)
 
 
@@ -374,7 +369,7 @@ def test_em_prior_of_the_wrong_length_is_rejected():
     problem = easy_problem(np.random.default_rng(21))
     n = problem.features.n_elements
     with pytest.raises(DimensionMismatch):
-        em_solve(problem, EmConfig(init_mode="prior", prior=Distribution.uniform(n + 1)))
+        em_solve(problem, EmConfig(prior=Distribution.uniform(n + 1)))
 
 
 def test_constraint_residual_uninformative_channel_zero():
@@ -494,11 +489,9 @@ def test_unproducible_observation_rejected_through_the_products():
     assert exc.value.index == 1
 
 
-@pytest.mark.parametrize("config", [
-    EmConfig(max_em_iter=40),
-    EmConfig(max_em_iter=40, init_mode="random", seed=3),
-], ids=["zero-init", "random-init"])
-def test_em_reads_a_channel_only_through_its_products(config):
+@pytest.mark.parametrize("start", ["zero", "prior"], ids=["zero-init", "prior-init"])
+def test_em_reads_a_channel_only_through_its_products(start):
+    # the prior start puts lambda_0 off zero, so row 0 too is read through the products
     rng = np.random.default_rng(28)
     dense = random_problem(rng, n_max=6, m_max=9)
     matrix = np.array(dense.channel.matrix)
@@ -506,11 +499,16 @@ def test_em_reads_a_channel_only_through_its_products(config):
     matrix[0, matrix.sum(axis=0) == 0] = 1.0
     dense = make_problem(dense.features.values, matrix / matrix.sum(axis=0),
                          dense.empirical.probs)
+    prior = None
+    if start == "prior":
+        prior = Distribution(rng.dirichlet(np.ones(dense.features.n_elements)))
+    config = EmConfig(max_em_iter=40, prior=prior)
     stub = UMaxEntProblem(dense.features, ProductsOnlyChannel(dense.channel),
                           dense.empirical)
     assert not hasattr(stub.channel, "matrix")
     lam_dense, trace_dense = em_solve(dense, config)
     lam_stub, trace_stub = em_solve(stub, config)
+    assert np.any(trace_dense.rows[0].lam != 0) == (start == "prior")
     assert len(trace_dense) > 3
     assert trace_stub.to_csv_string() == trace_dense.to_csv_string()
     assert np.array_equal(lam_stub.lam, lam_dense.lam)

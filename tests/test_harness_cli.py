@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from umaxent import (
     DimensionMismatch,
     Distribution,
+    EmConfig,
     SoftClassifierBatch,
     SyntheticSpec,
     UMaxEntError,
@@ -17,11 +19,17 @@ from umaxent import (
     ZeroMarginal,
     classifier_em_solve,
     dump_json,
+    em_solve,
     generate,
     is_deterministic_channel,
     load_problem,
+    log_linear_distribution,
+    observation_marginal,
+    verify_latent_reduction,
+    verify_maxent_reduction,
 )
 from umaxent.cli import EXIT_MAX_ITER, EXIT_OK, EXIT_VALIDATION, main
+from umaxent.reductions import induced_empirical_x
 
 
 def write_problem(tmp_path, name="prob", **kwargs):
@@ -209,6 +217,14 @@ def test_cli_solve_malformed_channel_exit_code(tmp_path, capsys):
     assert "column 0" in capsys.readouterr().err
 
 
+# classifier blocks with two labels over write_problem's 3 elements, and one
+# label count too many in the training prior or the confusion matrix
+LONG_TRAINING_PRIOR = {"labels": ["l0", "l1"], "label_map": [0, 1, 1],
+                       "training_prior": [0.2, 0.3, 0.5], "batch_csv": "batch.csv"}
+LARGE_CONFUSION = {"labels": ["l0", "l1"], "label_map": [0, 1, 1],
+                   "confusion": np.eye(3).tolist()}
+
+
 def latent_block(first_entry):
     """A latent block over the 3 elements of write_problem's file, first entry replaced."""
     return {"y": ["y0", "y1"], "z": ["z0", "z1"],
@@ -271,6 +287,12 @@ def latent_block(first_entry):
     lambda d: d.update(classifier={"labels": ["l0", "l1"], "label_map": [0, 1]}),
     lambda d: d["features"].update(names=["f0"]),
     lambda d: d["channel"].update(observations=["w0", "w1", "w2"]),
+    lambda d: d.update(classifier=LONG_TRAINING_PRIOR),
+    lambda d: d.update(classifier=LARGE_CONFUSION),
+    lambda d: d.update(empirical={"counts": [float("inf"), 1, 1, 1]}),
+    lambda d: d.update(empirical={"counts": [1e308, 1e308, 1, 1]}),
+    lambda d: d.update(em={"init_mode": "prior", "prior": [0.2, 0.3, 0.5]}),
+    lambda d: d.update(em={"seed": 3}),
 ], ids=["unknown-solver-key", "unknown-em-key", "removed-method-key", "negative-grad-tol",
         "string-feature", "ragged-channel", "list-element-ids", "removed-restarts-key",
         "removed-init-scale-key", "removed-likelihood-tol-key", "negative-max-em-iter",
@@ -284,7 +306,9 @@ def latent_block(first_entry):
         "string-observation-names", "string-latent-y", "string-latent-z",
         "duplicate-elements", "no-elements", "zero-counts", "negative-counts", "2d-counts",
         "exact-and-counts", "short-label-map", "short-feature-names",
-        "short-observation-names"])
+        "short-observation-names", "long-training-prior", "large-confusion",
+        "infinite-counts", "overflowing-counts", "removed-init-mode-key",
+        "removed-em-seed-key"])
 def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
@@ -311,8 +335,12 @@ def test_cli_solve_malformed_file_is_validation_error(tmp_path, capsys, edit):
      "malformed features: dimension mismatch on axis 'features': expected 2, got 1"),
     (lambda d: d["channel"].update(observations=["w0", "w1", "w2"]),
      "malformed channel: dimension mismatch on axis 'observations': expected 4, got 3"),
+    (lambda d: d.update(classifier=LONG_TRAINING_PRIOR),
+     "malformed classifier: dimension mismatch on axis 'labels': expected 2, got 3"),
+    (lambda d: d.update(classifier=LARGE_CONFUSION),
+     "malformed classifier: dimension mismatch on axis 'labels': expected 2, got 3"),
 ], ids=["exact-and-counts", "short-label-map", "short-feature-names",
-        "short-observation-names"])
+        "short-observation-names", "long-training-prior", "large-confusion"])
 @pytest.mark.parametrize("mode", ["umaxent", "standard", "classifier"])
 def test_cli_malformed_block_is_named_in_every_mode(tmp_path, capsys, edit, message, mode):
     problem, _ = write_problem(tmp_path, epsilon=0.0, seed=12)
@@ -442,7 +470,7 @@ def problem_documents(draw):
         doc["channel"]["observations"] = draw(st.lists(NAME, min_size=m, max_size=m,
                                                        unique=True))
     if draw(st.booleans()):
-        doc["em"] = {"init_mode": "prior", "prior": unit_columns(draw, n, 1)[:, 0].tolist()}
+        doc["em"] = {"prior": unit_columns(draw, n, 1)[:, 0].tolist()}
     broken = draw(st.sampled_from([None, None, None, "empty", "ragged"]))
     if broken == "empty":
         doc["elements"] = []
@@ -495,13 +523,19 @@ def test_load_problem_allocation_budget(tmp_path):
 
 
 def test_cli_solve_em_prior_block(tmp_path, capsys):
+    # a prior on its own selects the prior start: row 0 is its M-projection
     problem, _ = write_problem(tmp_path, seed=12)
     doc = json.loads(problem.read_text())
-    doc["em"] = {"init_mode": "prior", "prior": [0.2, 0.3, 0.5]}
+    doc["em"] = {"prior": [0.2, 0.3, 0.5]}
     problem.write_text(json.dumps(doc))
     assert main(["solve", str(problem), "--out", str(tmp_path)]) == EXIT_OK
     rows = (tmp_path / "prob_trace.csv").read_text().splitlines()
     assert len(rows) >= 3
+    em_problem = load_problem(doc).problem
+    _, trace = em_solve(em_problem, EmConfig(prior=Distribution([0.2, 0.3, 0.5])))
+    _, zero = em_solve(em_problem)
+    assert rows[:2] == trace.to_csv_string().splitlines()[:2]
+    assert rows[1] != zero.to_csv_string().splitlines()[1]
 
     for bad in ([0.5, 0.5], [0.2, 0.3, 0.6]):
         doc["em"]["prior"] = bad
@@ -513,13 +547,45 @@ def test_cli_solve_em_prior_block(tmp_path, capsys):
         assert err.startswith("error: malformed em: ") and err.count("\n") == 1
 
 
-def test_cli_solve_init_prior_without_prior_exit_code(tmp_path, capsys):
-    problem, _ = write_problem(tmp_path, seed=12)
-    code = main(["solve", str(problem), "--init", "prior", "--out", str(tmp_path)])
+def reduction_problem(tmp_path):
+    """write_problem's file at epsilon 0 with a latent block: both verifiers apply."""
+    problem, truth = write_problem(tmp_path, epsilon=0.0, seed=12)
+    doc = json.loads(problem.read_text())
+    doc["latent"] = latent_block([0, 0, 0])
+    problem.write_text(json.dumps(doc))
+    return problem, truth, load_problem(doc)
+
+
+def test_cli_check_and_reduce_seed_the_verifiers(tmp_path):
+    problem, truth, loaded = reduction_problem(tmp_path)
+    p, fact, config = loaded.problem, loaded.factorization, loaded.em_config
+    empirical_y = observation_marginal(induced_empirical_x(p), fact.y_channel())
+
+    def reports(seed):
+        return json.loads(dump_json([
+            dataclasses.asdict(verify_maxent_reduction(p, config, seed=seed)),
+            dataclasses.asdict(verify_latent_reduction(fact, empirical_y, p.features, config,
+                                                       seed=seed)),
+        ]))
+
+    assert main(["check", str(problem), str(truth), "--seed", "7",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    check = json.loads((tmp_path / "prob_check.json").read_text())
+    assert check["standard_reduction"] == reports(7)[0]
+    assert main(["reduce", str(problem), "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "prob_reduce.json").read_text()) == reports(7)
+    # the latent identity gap is drawn at seed-dependent models
+    assert reports(7) != reports(0)
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "reduce"])
+def test_cli_negative_seed_is_validation_error(tmp_path, capsys, command):
+    problem, truth, _ = reduction_problem(tmp_path)
+    paths = [str(problem), str(truth)] if command == "check" else [str(problem)]
+    code = main([command, *paths, "--seed", "-1", "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "prior" in err and err.count("\n") == 1
-    assert not (tmp_path / "prob_result.json").exists()
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, not -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solve_missing_file_exit_code(tmp_path, capsys):
@@ -577,10 +643,14 @@ def test_cli_solve_negative_max_iter_is_validation_error(tmp_path, capsys):
     ["solve", "{problem}", "--max-iter", "many"],
     ["frobnicate"],
     [],
-], ids=["bad-mode", "unknown-flag", "non-integer-max-iter", "unknown-command", "no-command"])
+    ["solve", "{problem}", "--init", "zero"],
+    ["check", "{problem}", "{truth}", "--init", "zero"],
+    ["reduce", "{problem}", "--init", "random"],
+], ids=["bad-mode", "unknown-flag", "non-integer-max-iter", "unknown-command", "no-command",
+        "removed-init-flag-solve", "removed-init-flag-check", "removed-init-flag-reduce"])
 def test_cli_usage_error_exits_validation(tmp_path, capsys, argv):
-    problem, _ = write_problem(tmp_path, seed=13)
-    code = main([a.format(problem=problem) for a in argv])
+    problem, truth = write_problem(tmp_path, seed=13)
+    code = main([a.format(problem=problem, truth=truth) for a in argv])
     assert code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
 
@@ -602,8 +672,6 @@ def test_cli_solve_byte_identical_across_runs(tmp_path):
 
 
 def test_roundtrip_file_solve_matches_in_memory(tmp_path):
-    from umaxent import EmConfig, em_solve, log_linear_distribution
-
     doc, _ = generate(SyntheticSpec(3, 4, 2, epsilon=0.2, seed=15))
     problem = tmp_path / "prob.json"
     dump_json(doc, problem)
